@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .channel import build_composite, build_half_channel
@@ -215,6 +214,9 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> tuple[str, int]:
         for T in sorted(cfg.T)
     ]
     if jobs > 1:
+        # imported here so that `import gearq` does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_evaluate_point, points))
     else:

@@ -243,10 +243,14 @@ def simulate(cfg: SimConfig) -> SimStats:
 def pooled_estimate(stats: list[SimStats]) -> tuple[float, float, float, float]:
     """Pool independent seeded runs: seed-level means and between-seed stderr.
 
-    Returns (tau_mean, tau_stderr, delay_mean, delay_stderr).  Using the
-    spread of per-seed means keeps the standard error honest even when
-    samples inside one run are correlated through the shared channel.
+    Returns (tau_mean, tau_stderr, delay_mean, delay_stderr).  A single
+    run has no between-seed spread, so it reports its own per-episode
+    standard errors; these hold because episodes are i.i.d. (each starts
+    fresh from pi_I, and lanes are independent).
     """
+    if len(stats) == 1:
+        (st,) = stats
+        return st.tau_mean_hat, st.tau_stderr, st.delay_mean_hat, st.delay_stderr
     taus = np.array([st.tau_mean_hat for st in stats])
     ds = np.array([st.delay_mean_hat for st in stats])
     m = len(stats)

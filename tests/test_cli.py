@@ -1,4 +1,11 @@
 """Sweep front-end: config parsing, CSV contract, reproducibility."""
+import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import pytest
 
 from gearq.cli import COLUMNS, SweepConfig, main, parse_sweep_config, run_sweep
@@ -65,6 +72,24 @@ def test_rows_in_lexicographic_order_and_both_mode():
     assert sim_rows and all(r["agree_3sigma"] in ("True", "False") for r in sim_rows)
 
 
+def test_single_seed_sim_rows_have_finite_stderr():
+    cfg = SweepConfig(
+        eps=(0.3,), T=(10,), schemes=("uncoded", "coded"), M=5, N=4,
+        mode="both", seeds=(0,), horizon=2000,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        text, n_err = run_sweep(cfg)
+    assert n_err == 0
+    rows = [dict(zip(COLUMNS, line.split(","))) for line in text.strip().splitlines()[1:]]
+    sim_rows = [r for r in rows if r["mode"] == "sim"]
+    assert len(sim_rows) == 2
+    for r in sim_rows:
+        assert math.isfinite(float(r["stderr_throughput"])) and float(r["stderr_throughput"]) > 0
+        assert math.isfinite(float(r["stderr_delay"])) and float(r["stderr_delay"]) > 0
+        assert r["agree_3sigma"] in ("True", "False")
+
+
 def test_reproducible_byte_identical():
     cfg = SweepConfig(
         eps=(0.2,), T=(10,), schemes=("uncoded", "coded"), M=5, N=4,
@@ -122,6 +147,22 @@ def test_worker_pool_matches_sequential():
     seq, _ = run_sweep(cfg, jobs=1)
     par, _ = run_sweep(cfg, jobs=2)
     assert seq == par
+
+
+def test_import_does_not_load_process_pool():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = (
+        "import sys, gearq; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
+        "if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_main_seed_and_tol_overrides(tmp_path):

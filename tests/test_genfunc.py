@@ -100,6 +100,66 @@ def test_geo_divergence_guard():
         dual_geo(dual_term(np.eye(2), 1))
 
 
+def test_geo_guard_singular_is_nonconvergence():
+    # I - A singular: the solve fails, and the guard names it
+    A = np.array([[0.5, 0.5], [0.5, 0.5]])
+    with pytest.raises(NonConvergenceError):
+        dual_geo(dual_term(A, 1))
+
+
+@pytest.mark.parametrize("A", [
+    [[0.0, 2.0], [2.0, 0.0]],
+    # a slow but convergent block next to a divergent one: the negative
+    # entry is only 1e-8 of ||(I - A)^-1||_inf, far above rounding
+    [[1 - 1e-8, 0.0], [0.0, 2.0]],
+], ids=["irreducible", "reducible"])
+def test_geo_guard_rejects_invertible_divergent_loop(A):
+    # I - A is invertible, but rho(A) = 2: the inverse has negative entries
+    with pytest.raises(NonConvergenceError):
+        dual_geo(dual_term(np.array(A), 1))
+
+
+def test_geo_guard_rejects_within_slack():
+    # rho = 1 - 1e-12 < 1, but about 1e12 expected traversals
+    P = np.array([[0.2, 0.8, 0.0], [0.1, 0.6, 0.3], [0.5, 0.0, 0.5]])
+    with pytest.raises(NonConvergenceError):
+        dual_geo(dual_term((1 - 1e-12) * P, 1))
+
+
+def test_geo_guard_accepts_near_one_and_matches_inverse():
+    P = np.array([[0.2, 0.8, 0.0], [0.1, 0.6, 0.3], [0.5, 0.0, 0.5]])
+    A = 0.999 * P
+    assert spectral_radius(A) == pytest.approx(0.999, abs=1e-12)
+    g = dual_geo(dual_term(A, 1))
+    assert np.array_equal(g.val, np.linalg.inv(np.eye(3) - A))
+
+
+def test_geo_guard_matches_spectral_radius_on_random_matrices():
+    rng = np.random.default_rng(7)
+    slack = 1e-9
+    checked = rejected = 0
+    while checked < 200:
+        n = int(rng.integers(1, 9))
+        B = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.3, 1.0))
+        rho_B = spectral_radius(B)
+        if rho_B == 0.0:
+            continue
+        A = B * (rng.uniform(0.2, 2.0) / rho_B)
+        rho = spectral_radius(A)
+        if abs(rho - 1.0) <= 1e-6:
+            continue
+        expect_reject = rho >= 1.0 - slack
+        try:
+            dual_geo(dual_term(A, 1), slack=slack)
+            got_reject = False
+        except NonConvergenceError:
+            got_reject = True
+        assert got_reject == expect_reject, (A, rho)
+        checked += 1
+        rejected += got_reject
+    assert 0 < rejected < checked
+
+
 def test_spectral_radius_power_iteration():
     rng = np.random.default_rng(3)
     A = rng.random((4, 4))
