@@ -9,7 +9,7 @@ import numpy as np
 
 from gearq import ProtocolParams, dual_geo, dual_mul, dual_term, scalarize
 from gearq import symmetric_composite
-from gearq.protocols import NominalAttempts, build_arq_mgf
+from gearq.protocols import attempt_model_for, build_arq_mgf
 
 # dual arithmetic in miniature: a two-state success/retry loop
 A = np.array([[0.6, 0.1], [0.2, 0.5]])
@@ -21,7 +21,7 @@ print("closure derivative (I-A)^-1 A (I-A)^-1:\n", closure.der)
 # the same machinery on a full protocol MGF
 ch = symmetric_composite(0.3, 0.0, 1.0, 0.3)
 p = ProtocolParams(k=5, T=10)
-att = NominalAttempts(ch)
+att = attempt_model_for(ch, p)
 
 value, mean = scalarize(ch.pi_I, build_arq_mgf(ch, p, att, "delay"))
 print("\nphi_D(1) =", value, " (total probability)")

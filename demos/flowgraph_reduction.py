@@ -10,7 +10,7 @@ import numpy as np
 
 from gearq import ProtocolParams, symmetric_composite
 from gearq.flowgraph import build_uncoded_graph, eliminate_node, graph_gain
-from gearq.protocols import NominalAttempts, build_arq_mgf
+from gearq.protocols import attempt_model_for, build_arq_mgf
 
 ch = symmetric_composite(0.3, 0.0, 1.0, 0.3)
 p = ProtocolParams(k=5, T=10)
@@ -30,7 +30,7 @@ g3 = eliminate_node(g2, "A")
 print("branches:", sorted(f"{a}->{b}" for a, b in g3.branches))
 
 gain = graph_gain(g)
-closed = build_arq_mgf(ch, p, NominalAttempts(ch), "delay")
+closed = build_arq_mgf(ch, p, attempt_model_for(ch, p), "delay")
 print("\nmax |graph - closed form| on the value:", np.max(np.abs(gain.val - closed.val)))
 print("max |graph - closed form| on the derivative:", np.max(np.abs(gain.der - closed.der)))
 mean = ch.pi_I @ gain.der @ np.ones(4) / ch.pi_I.sum()

@@ -32,11 +32,10 @@ from .genfunc import (
     spectral_radius,
 )
 from .protocols import (
+    AttemptModel,
     Metrics,
-    ModelSwitches,
-    NominalAttempts,
     ProtocolParams,
-    SoftCombiningAttempts,
+    attempt_model_for,
     build_arq_mgf,
     harq_metrics,
     uncoded_metrics,
@@ -54,7 +53,7 @@ from .flowgraph import (
     eliminate_node,
     graph_gain,
 )
-from .sim import SimConfig, SimStats, ge_run, ge_step, pooled_estimate, simulate
+from .sim import SimConfig, SimStats, pooled_estimate, simulate
 from .cli import SweepConfig, parse_sweep_config, run_sweep
 
 __version__ = "0.1.0"

@@ -210,7 +210,6 @@ def build_coded_mgf(
     k, T, M, N = p.k, p.T, p.M, p.N
     slot = kind == "delay"
     tol = p.series_tol
-    sw = p.switches
 
     def plain(j: int) -> DualMatrix:
         return dual_term(np.linalg.matrix_power(kern.plain, j), j if slot else 0, z)
@@ -220,30 +219,17 @@ def build_coded_mgf(
 
     # initial round: k-1 plain slots to line up the first feedback, then
     # M-1 packet slots; the M-th packet shares the decisive step below.
-    if slot and sw.coded_delay_prefix == "displayed":
-        prefix = dual_term(np.linalg.matrix_power(kern.plain, k), k, z)
-        prefix = dual_mul(prefix, kpow(1, M - 1))
-    else:
-        prefix = dual_mul(plain(k - 1), kpow(1, M - 1))
+    prefix = dual_mul(plain(k - 1), kpow(1, M - 1))
 
     # frame retransmission loop while nothing is acknowledged
     obs0 = {(x, y): kern.P_C(1, x, y) for x in (0, 1) for y in (0, 1)}
     Pk1 = np.linalg.matrix_power(kern.plain, k - 1)
     PTM = np.linalg.matrix_power(kern.plain, T - M)
     KM1 = np.linalg.matrix_power(kern.K[0], M - 1)
-    if sw.coded_am_loop == "displayed":
-        nack_gap, tout_gap, nack_z, tout_z = k, T + 1, k + M, T + 1
-        nack_mat = obs0[(1, 0)] @ np.linalg.matrix_power(kern.plain, nack_gap - 1) @ KM1
-        tout_mat = obs0[(1, 1)] @ np.linalg.matrix_power(kern.plain, tout_gap - M) @ KM1
-        loop = dual_add(
-            dual_term(nack_mat, nack_z if slot else M, z),
-            dual_term(tout_mat, tout_z if slot else M, z),
-        )
-    else:
-        loop = dual_add(
-            dual_term(obs0[(1, 0)] @ Pk1 @ KM1, (k + M - 1) if slot else M, z),
-            dual_term(obs0[(1, 1)] @ PTM @ KM1, T if slot else M, z),
-        )
+    loop = dual_add(
+        dual_term(obs0[(1, 0)] @ Pk1 @ KM1, (k + M - 1) if slot else M, z),
+        dual_term(obs0[(1, 1)] @ PTM @ KM1, T if slot else M, z),
+    )
     ack0_z = 1 + (_in_flight(0, k, T, M) if kind == "tau" else 0)
     stage1 = dual_mul(dual_geo(loop), dual_add(
         dual_term(obs0[(0, 0)], ack0_z, z),
@@ -277,8 +263,6 @@ def build_coded_mgf(
             dual_mul(dual_geo(rep_loop), exits),
         )
         factor = dual_mul(entry, dual_add(dual_term(kern.proj_up, 0, z), repair))
-        if slot and sw.coded_stage_z:
-            factor = dual_mul(factor, dual_term(np.eye(kern.dim), n - 1, z))
         phi = dual_mul(phi, factor)
     return phi
 

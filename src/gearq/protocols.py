@@ -4,8 +4,9 @@ Both schemes share one machine: a retransmission loop entered on a lost
 packet (immediate resend on a delivered NACK, resend at timer expiry on
 an erased one), an acknowledgment branch, and a recovery branch for the
 packet whose ACK was erased and that is later covered by cumulative
-feedback.  The uncoded scheme is the attempt-constant specialization of
-the soft-combining machinery.
+feedback.  The recovery draws its reverse erasure rates from one
+AttemptModel: the uncoded scheme is its constant sequence at the nominal
+rate, soft combining a rate that falls with the combining index.
 
 z-power conventions: in the transmission-time MGF z counts packet
 transmissions; in the delay MGF z counts slots.  Feedback for the packet
@@ -14,14 +15,13 @@ delay k.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import CompositeChannel, ParameterError
 from .genfunc import (
     DualMatrix,
-    NonConvergenceError,
     dual_add,
     dual_geo,
     dual_identity,
@@ -32,35 +32,6 @@ from .genfunc import (
 )
 
 SCHEMES = ("uncoded", "harq", "coded")
-
-
-@dataclass(frozen=True)
-class ModelSwitches:
-    """Resolutions of ambiguities in the protocol models, each switchable.
-
-    harq_loop: "constant" keeps the retransmission-loop gain at the
-        nominal channel matrices for every attempt; "attempt_indexed"
-        re-derives the loop gain per attempt from the soft-combining
-        error model.
-    harq_recovery_reset: if True, the combining index restarts after
-        each timer expiry inside the recovery branch (the closed form's
-        reading); default False continues the index, matching the
-        simulator.
-    coded_delay_prefix: "round" starts the coded delay MGF with
-        z**(k+M-2) over the initial round (simulator-matching);
-        "displayed" uses z**k P**k.
-    coded_stage_z: if True, multiplies an extra z**(n-1) into the coded
-        delay MGF at stage n.
-    coded_am_loop: "exact" uses slot-exact frame-retransmission loop
-        gains; "displayed" reproduces the published loop expression with
-        its extra chain step.
-    """
-
-    harq_loop: str = "constant"
-    harq_recovery_reset: bool = False
-    coded_delay_prefix: str = "round"
-    coded_stage_z: bool = False
-    coded_am_loop: str = "exact"
 
 
 @dataclass(frozen=True)
@@ -79,9 +50,7 @@ class ProtocolParams:
     M: int = 1
     N: int = 1
     gamma_over_rho: float = 0.0
-    max_attempts: int = 100_000
     series_tol: float = 1e-12
-    switches: ModelSwitches = field(default_factory=ModelSwitches)
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -119,88 +88,38 @@ class Metrics:
 
 
 class AttemptModel:
-    """Per-attempt composite observation matrices for feedback combining.
+    """Reverse-link erasure rates along the combining index, as chain matrices.
 
-    Attempt index m >= 1; index 0 is the identity by convention, so the
-    running product over attempts 1..j has j factors.  Px0(m) + Px1(m)
-    equals the composite chain matrix for every m.
+    eps_B is state B's erasure-rate sequence over the combining index
+    m >= 1: a number for a constant sequence (closed exactly with
+    dual_geo), or a function of m (summed as a truncated series).  State
+    G's rate at m is min(eps_G, eps_B(m)): combining never makes state G
+    worse than its nominal rate, nor worse than state B.
     """
 
-    #: attempt-independent models use exact geometric closures
-    is_constant = False
-
-    def __init__(self, ch: CompositeChannel):
+    def __init__(self, ch: CompositeChannel, eps_B):
         self.ch = ch
+        self.constant = not callable(eps_B)
+        self.eps_B = (lambda m: eps_B) if self.constant else eps_B
+        self._fixed = self._split(1) if self.constant else None
 
-    def eps_B(self, m: int) -> float:
-        raise NotImplementedError
-
-    def _rev_pair(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+    def rates(self, m):
+        """(eps_G, eps_B) of the reverse link at index m (scalar or array)."""
         eb = self.eps_B(m)
-        rev = self.ch.rev
-        P0 = rev.P @ np.diag([1.0, 1.0 - eb])
-        P1 = rev.P @ np.diag([0.0, eb])
-        return P0, P1
+        return np.minimum(self.ch.rev.eps_G, eb), eb
 
-    def Px1(self, m: int) -> np.ndarray:
-        if m == 0:
-            return np.eye(4)
-        _, P1 = self._rev_pair(m)
-        return np.kron(self.ch.fwd.P, P1)
+    def observation(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """(Px0, Px1) at index m: the composite chain step split by the
+        reverse bit (delivered, erased); the two sum to the chain matrix."""
+        return self._fixed if self.constant else self._split(m)
 
-    def Px0(self, m: int) -> np.ndarray:
-        P0, _ = self._rev_pair(m)
-        return np.kron(self.ch.fwd.P, P0)
-
-    def Pxy(self, m: int, x: int, y: int) -> np.ndarray:
-        """Joint observation matrix with both links at attempt-m rates."""
-        eb = self.eps_B(m)
-        fwd = self.ch.fwd.P @ np.diag([1.0, 1.0 - eb] if x == 0 else [0.0, eb])
-        rev = self.ch.rev.P @ np.diag([1.0, 1.0 - eb] if y == 0 else [0.0, eb])
-        return np.kron(fwd, rev)
-
-
-class NominalAttempts(AttemptModel):
-    """Attempt-independent model: every attempt sees the nominal channel."""
-
-    is_constant = True
-
-    def Px1(self, m: int) -> np.ndarray:
-        return np.eye(4) if m == 0 else self.ch.Px1
-
-    def Px0(self, m: int) -> np.ndarray:
-        return self.ch.Px0
-
-    def Pxy(self, m: int, x: int, y: int) -> np.ndarray:
-        return (self.ch.P00, self.ch.P01, self.ch.P10, self.ch.P11)[2 * x + y]
-
-    def eps_B(self, m: int) -> float:
-        return self.ch.rev.eps_B
-
-
-class SoftCombiningAttempts(AttemptModel):
-    """Combining model: state-B error rate 1 - exp(-(gamma/rho)/m) at attempt m.
-
-    eps_B_fn may be a callable of the attempt index or a plain float; a
-    float (or gamma_over_rho == 0) makes the model attempt-constant.
-    """
-
-    def __init__(self, ch: CompositeChannel, gamma_over_rho: float, eps_B_fn=None):
-        super().__init__(ch)
-        self.gamma_over_rho = gamma_over_rho
-        self._eps_B_fn = eps_B_fn
-        self.is_constant = isinstance(eps_B_fn, float) or (
-            eps_B_fn is None and gamma_over_rho == 0.0
+    def _split(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        eg, eb = self.rates(m)
+        fwd, rev = self.ch.fwd.P, self.ch.rev.P
+        return (
+            np.kron(fwd, rev @ np.diag([1.0 - eg, 1.0 - eb])),
+            np.kron(fwd, rev @ np.diag([eg, eb])),
         )
-
-    def eps_B(self, m: int) -> float:
-        if isinstance(self._eps_B_fn, float):
-            return self._eps_B_fn
-        if self._eps_B_fn is not None:
-            return self._eps_B_fn(m)
-        if self.gamma_over_rho == 0.0:
-            return 0.0
-        return 1.0 - np.exp(-self.gamma_over_rho / m)
 
 
 def _chain_power(ch: CompositeChannel, n: int) -> np.ndarray:
@@ -221,32 +140,35 @@ def _recovery_presum(
     total = None
     prefix = dual_identity(4)
     for j in range(budget):
-        step = dual_term(att.Px0(base + j + 1), 1 if slot_z else 0, z)
-        term = dual_mul(prefix, step)
+        X0, X1 = att.observation(base + j + 1)
+        term = dual_mul(prefix, dual_term(X0, 1 if slot_z else 0, z))
         total = term if total is None else dual_add(total, term)
-        prefix = dual_mul(prefix, dual_term(att.Px1(base + j + 1), 1 if slot_z else 0, z))
+        prefix = dual_mul(prefix, dual_term(X1, 1 if slot_z else 0, z))
     if total is None:
         total = dual_term(np.zeros((4, 4)), 0, z)
     return total, prefix
 
 
-def _recovery_tail_continue(
-    att: AttemptModel, base: int, T: int, slot_z: bool, z: float, tol: float
-) -> DualMatrix:
-    """Post-expiry recovery: periodic retransmissions, combining index continues.
+def _recovery_tail(att: AttemptModel, base: int, T: int, z: float, tol: float) -> DualMatrix:
+    """Post-expiry recovery in the transmission MGF, combining index continuing.
 
     Window w covers T feedback slots after the w-th pointless
-    retransmission; the transmission costs one z in the transmission
-    MGF, windows cost their slots in the delay MGF.  Terms decay because
-    the all-erased prefix keeps shrinking; the series is truncated at
-    tol.
+    retransmission, which costs one z.  A constant model repeats the
+    same window, closed exactly with dual_geo; otherwise terms decay
+    because the all-erased prefix keeps shrinking, and the series is
+    truncated at tol.
     """
+    retx = dual_term(np.eye(4), 1, z)
+    if att.constant:
+        exit_sum, allfail = _recovery_presum(att, T, base, False, z)
+        loop = dual_geo(dual_mul(retx, allfail))
+        return dual_mul(loop, dual_mul(retx, exit_sum))
+
     def windows():
         prefix = dual_identity(4)
         b = base
         while True:
-            retx = dual_term(np.eye(4), 0 if slot_z else 1, z)
-            exit_sum, allfail = _recovery_presum(att, T, b, slot_z, z)
+            exit_sum, allfail = _recovery_presum(att, T, b, False, z)
             yield dual_mul(prefix, dual_mul(retx, exit_sum))
             prefix = dual_mul(prefix, dual_mul(retx, allfail))
             b += T
@@ -254,30 +176,8 @@ def _recovery_tail_continue(
     return dual_sum_truncated(windows(), tol=tol)
 
 
-def _recovery_tail_reset(
-    att: AttemptModel, T: int, slot_z: bool, z: float
-) -> DualMatrix:
-    """Post-expiry recovery as displayed: geometric, index restarts per window."""
-    exit_sum, allfail = _recovery_presum(att, T, 0, slot_z, z)
-    retx = dual_term(np.eye(4), 0 if slot_z else 1, z)
-    loop = dual_geo(dual_mul(retx, allfail))
-    return dual_mul(loop, dual_mul(retx, exit_sum))
-
-
-def _first_obs(att: AttemptModel, m: int, switches: ModelSwitches, ch: CompositeChannel):
-    """The four joint matrices for attempt m's own feedback observation."""
-    if switches.harq_loop == "attempt_indexed":
-        return (att.Pxy(m, 0, 0), att.Pxy(m, 0, 1), att.Pxy(m, 1, 0), att.Pxy(m, 1, 1))
-    return ch.P00, ch.P01, ch.P10, ch.P11
-
-
 def _arq_bracket(
-    ch: CompositeChannel,
-    p: ProtocolParams,
-    att: AttemptModel,
-    attempt: int,
-    kind: str,
-    z: float,
+    ch: CompositeChannel, p: ProtocolParams, att: AttemptModel, kind: str, z: float
 ) -> DualMatrix:
     """Feedback-resolution branch after a delivered packet: ACK, or recovery.
 
@@ -286,58 +186,45 @@ def _arq_bracket(
     kind = "delay": retransmissions are free, every slot costs z, and the
     wait is the open-ended combining series.
     """
-    P00, P01, _, _ = _first_obs(att, attempt, p.switches, ch)
-    slot_z = kind == "delay"
     if kind == "tau":
-        head = dual_term(P00, 0, z)
+        head = dual_term(ch.P00, 0, z)
         pre, allfail = _recovery_presum(att, p.d, 0, False, z)
-        if att.is_constant or p.switches.harq_recovery_reset:
-            tail = _recovery_tail_reset(att, p.T, False, z)
-        else:
-            tail = _recovery_tail_continue(att, p.d, p.T, False, z, p.series_tol)
+        tail = _recovery_tail(att, p.d, p.T, z, p.series_tol)
         recov = dual_add(pre, dual_mul(allfail, tail))
-        return dual_add(head, dual_mul(dual_term(P01, 0, z), recov))
+        return dual_add(head, dual_mul(dual_term(ch.P01, 0, z), recov))
 
     # delay: z P00 + z^2 P01 sum_j z^j (prod X1) X0(j+1)
-    head = dual_term(P00, 1, z)
-    if att.is_constant:
-        wait = dual_mul(
-            dual_geo(dual_term(att.Px1(1), 1, z)), dual_term(att.Px0(1), 0, z)
-        )
+    head = dual_term(ch.P00, 1, z)
+    if att.constant:
+        X0, X1 = att.observation(1)
+        wait = dual_mul(dual_geo(dual_term(X1, 1, z)), dual_term(X0, 0, z))
     else:
 
         def series():
             prefix = dual_identity(4)
             j = 0
             while True:
-                yield dual_mul(prefix, dual_term(att.Px0(j + 1), 0, z))
-                prefix = dual_mul(prefix, dual_term(att.Px1(j + 1), 1, z))
+                X0, X1 = att.observation(j + 1)
+                yield dual_mul(prefix, dual_term(X0, 0, z))
+                prefix = dual_mul(prefix, dual_term(X1, 1, z))
                 j += 1
 
         wait = dual_sum_truncated(series(), tol=p.series_tol)
-    return dual_add(head, dual_mul(dual_term(P01, 2, z), wait))
+    return dual_add(head, dual_mul(dual_term(ch.P01, 2, z), wait))
 
 
-def _loop_gain(
-    ch: CompositeChannel,
-    p: ProtocolParams,
-    att: AttemptModel,
-    attempt: int,
-    kind: str,
-    z: float,
-) -> DualMatrix:
+def _loop_gain(ch: CompositeChannel, p: ProtocolParams, kind: str, z: float) -> DualMatrix:
     """One traversal of the lost-packet retransmission loop.
 
     A delivered NACK re-sends after k slots, an erased one waits for the
     timer (T slots).  Transmission accounting charges one z per
     traversal; delay accounting charges the slots.
     """
-    _, _, P10, P11 = _first_obs(att, attempt, p.switches, ch)
     Pk = _chain_power(ch, p.k - 1)
     PT = _chain_power(ch, p.T - 1)
     if kind == "tau":
-        return dual_add(dual_term(P10 @ Pk, 1, z), dual_term(P11 @ PT, 1, z))
-    return dual_add(dual_term(P10 @ Pk, p.k, z), dual_term(P11 @ PT, p.T, z))
+        return dual_add(dual_term(ch.P10 @ Pk, 1, z), dual_term(ch.P11 @ PT, 1, z))
+    return dual_add(dual_term(ch.P10 @ Pk, p.k, z), dual_term(ch.P11 @ PT, p.T, z))
 
 
 def build_arq_mgf(
@@ -350,26 +237,15 @@ def build_arq_mgf(
     """Full matrix MGF for the single-packet schemes (uncoded / harq).
 
     kind selects the random variable: "tau" (transmissions per packet)
-    or "delay" (slots from first transmission to ACK receipt).
+    or "delay" (slots from first transmission to ACK receipt).  The
+    packet's own feedback sees the nominal channel; `att` governs the
+    recovery by cumulative feedback after an erased acknowledgment.
     """
     if kind not in ("tau", "delay"):
         raise ValueError("kind must be 'tau' or 'delay'")
     prefix = dual_term(_chain_power(ch, p.k - 1), 1 if kind == "tau" else p.k - 1, z)
-    if p.switches.harq_loop == "attempt_indexed" and not isinstance(att, NominalAttempts):
-        def attempts_series():
-            walked = dual_identity(4)
-            m = 1
-            while True:
-                yield dual_mul(walked, _arq_bracket(ch, p, att, m, kind, z))
-                walked = dual_mul(walked, _loop_gain(ch, p, att, m, kind, z))
-                m += 1
-                if m > p.max_attempts:
-                    raise NonConvergenceError("attempt truncation horizon exceeded")
-
-        body = dual_sum_truncated(attempts_series(), tol=p.series_tol)
-        return dual_mul(prefix, body)
-    loop = dual_geo(_loop_gain(ch, p, att, 1, kind, z))
-    bracket = _arq_bracket(ch, p, att, 1, kind, z)
+    loop = dual_geo(_loop_gain(ch, p, kind, z))
+    bracket = _arq_bracket(ch, p, att, kind, z)
     return dual_mul(prefix, dual_mul(loop, bracket))
 
 
@@ -391,32 +267,34 @@ def _metrics_from_mgfs(
     )
 
 
-def uncoded_metrics(ch: CompositeChannel, p: ProtocolParams) -> Metrics:
-    """Throughput and delay for plain selective-repeat ARQ."""
-    if p.scheme != "uncoded":
-        raise ParameterError("params do not select the uncoded scheme")
-    att = NominalAttempts(ch)
-    return _metrics_from_mgfs(
-        ch, 1, build_arq_mgf(ch, p, att, "tau"), build_arq_mgf(ch, p, att, "delay")
-    )
+def attempt_model_for(ch: CompositeChannel, p: ProtocolParams) -> AttemptModel:
+    """The recovery model of the scheme in `p`: its state-B rate sequence.
 
-
-def harq_metrics(ch: CompositeChannel, p: ProtocolParams, eps_B_fn=None) -> Metrics:
-    """Throughput and delay with soft combining of repeated feedback.
-
-    eps_B_fn overrides the per-attempt state-B error rate (tests use a
-    constant sequence to recover the uncoded scheme).
+    Uncoded is the constant sequence at the nominal eps_B; harq combines
+    with eps_B(m) = 1 - exp(-(gamma/rho)/m), which is 0 for gamma/rho = 0.
     """
     if p.scheme != "harq":
-        raise ParameterError("params do not select the harq scheme")
-    att = SoftCombiningAttempts(ch, p.gamma_over_rho, eps_B_fn)
+        return AttemptModel(ch, ch.rev.eps_B)
+    g = p.gamma_over_rho
+    if g == 0.0:
+        return AttemptModel(ch, 0.0)
+    return AttemptModel(ch, lambda m: 1.0 - np.exp(-g / m))
+
+
+def _arq_metrics(ch: CompositeChannel, p: ProtocolParams, scheme: str) -> Metrics:
+    if p.scheme != scheme:
+        raise ParameterError(f"params do not select the {scheme} scheme")
+    att = attempt_model_for(ch, p)
     return _metrics_from_mgfs(
         ch, 1, build_arq_mgf(ch, p, att, "tau"), build_arq_mgf(ch, p, att, "delay")
     )
 
 
-def attempt_model_for(ch: CompositeChannel, p: ProtocolParams, eps_B_fn=None) -> AttemptModel:
-    """The attempt model the scheme in `p` uses (helper for oracles)."""
-    if p.scheme == "harq":
-        return SoftCombiningAttempts(ch, p.gamma_over_rho, eps_B_fn)
-    return NominalAttempts(ch)
+def uncoded_metrics(ch: CompositeChannel, p: ProtocolParams) -> Metrics:
+    """Throughput and delay for plain selective-repeat ARQ."""
+    return _arq_metrics(ch, p, "uncoded")
+
+
+def harq_metrics(ch: CompositeChannel, p: ProtocolParams) -> Metrics:
+    """Throughput and delay with soft combining of repeated feedback."""
+    return _arq_metrics(ch, p, "harq")

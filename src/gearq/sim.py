@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import CompositeChannel, HalfChannel, build_composite
-from .protocols import ProtocolParams, SoftCombiningAttempts
+from .protocols import ProtocolParams, attempt_model_for
 
 WAIT, RECOV = 0, 1
 
@@ -41,7 +41,6 @@ class SimConfig:
     horizon: int = 100_000
     init_mode: str = "model"
     batch: int = 4096
-    eps_B_override: float | None = None
 
     def __post_init__(self):
         if self.horizon < 1000:
@@ -61,36 +60,6 @@ class SimStats:
     throughput_hat: float
     delivered: int
     slots_elapsed: int
-
-
-def ge_step(half: HalfChannel, state, u_step, u_obs):
-    """One Gilbert-Elliott chain step plus an erasure draw.
-
-    Vectorized over `state` (0 = G, 1 = B) and the two uniforms; returns
-    (next_state, erased).  The erasure rate is the one of the landing
-    state.
-    """
-    state = np.asarray(state)
-    go_other = np.where(state == 0, u_step < half.q, u_step < half.r)
-    nxt = np.where(go_other, 1 - state, state)
-    eps = np.where(nxt == 0, half.eps_G, half.eps_B)
-    return nxt, u_obs < eps
-
-
-def ge_run(half: HalfChannel, n: int, seed: int, init: int | None = None):
-    """Simulate n slots of one chain; returns (states, erasures)."""
-    rng = np.random.default_rng(seed)
-    states = np.empty(n, dtype=np.int64)
-    erased = np.empty(n, dtype=bool)
-    if init is None:
-        s = int(rng.random() < half.pi[1])
-    else:
-        s = init
-    u = rng.random((n, 2))
-    for t in range(n):
-        s, e = ge_step(half, s, u[t, 0], u[t, 1])
-        states[t], erased[t] = s, e
-    return states, erased
 
 
 class _Moments:
@@ -143,8 +112,7 @@ def _simulate_arq(cfg: SimConfig, ch: CompositeChannel) -> SimStats:
     """Single-packet episodes (uncoded and soft-combining feedback)."""
     p = cfg.params
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    harq = p.scheme == "harq"
-    att = SoftCombiningAttempts(ch, p.gamma_over_rho) if harq else None
+    att = attempt_model_for(ch, p)
 
     k, T, d = p.k, p.T, p.d
     cumP = np.cumsum(ch.Pc, axis=1)
@@ -200,14 +168,8 @@ def _simulate_arq(cfg: SimConfig, ch: CompositeChannel) -> SimStats:
         rv = active & was_recov
         if rv.any():
             ri[rv] += 1
-            if harq:
-                if cfg.eps_B_override is not None:
-                    eb = cfg.eps_B_override
-                else:
-                    eb = att.eps_B(np.maximum(ri, 1).astype(float))
-                r_err2 = u_r < np.where(state % 2 == 1, eb, 0.0)
-            else:
-                r_err2 = u_r < eps_r[state % 2]
+            eg, eb = att.rates(np.maximum(ri, 1))
+            r_err2 = u_r < np.where(state % 2 == 1, eb, eg)
             done |= rv & ~r_err2
             expired = rv & r_err2
             ecd[expired] -= 1

@@ -12,7 +12,7 @@ from gearq.coded import build_coded_mgf, coded_metrics, default_coded_kernel
 from gearq.flowgraph import build_uncoded_graph, graph_gain
 from gearq.genfunc import scalarize
 from gearq.protocols import (
-    NominalAttempts,
+    AttemptModel,
     ProtocolParams,
     attempt_model_for,
     build_arq_mgf,
@@ -78,16 +78,15 @@ def test_criterion_3_constant_harq_equals_uncoded():
         ch = channel(eps)
         for T in T_GRID:
             mu = uncoded_metrics(ch, ProtocolParams(k=K, T=T))
-            mh = harq_metrics(
-                ch,
-                ProtocolParams(k=K, T=T, scheme="harq", gamma_over_rho=10 * eps),
-                eps_B_fn=1.0,
-            )
+            p = ProtocolParams(k=K, T=T, scheme="harq", gamma_over_rho=10 * eps)
+            const = AttemptModel(ch, ch.rev.eps_B)
+            _, tau = scalarize(ch.pi_I, build_arq_mgf(ch, p, const, "tau"))
+            _, delay = scalarize(ch.pi_I, build_arq_mgf(ch, p, const, "delay"))
             worst = max(
                 worst,
-                abs(mu.tau_mean - mh.tau_mean),
-                abs(mu.throughput - mh.throughput),
-                abs(mu.delay_mean - mh.delay_mean),
+                abs(mu.tau_mean - tau),
+                abs(mu.throughput - 1.0 / tau),
+                abs(mu.delay_mean - delay),
             )
     report(3, f"constant-attempt harq == uncoded, worst diff = {worst:.2e}", worst <= 1e-12)
 
@@ -98,7 +97,7 @@ def test_criterion_4_graph_engine_oracle():
         ch = channel(eps)
         for T in T_GRID:
             p = ProtocolParams(k=K, T=T)
-            att = NominalAttempts(ch)
+            att = attempt_model_for(ch, p)
             for kind in ("tau", "delay"):
                 closed = build_arq_mgf(ch, p, att, kind)
                 gg = graph_gain(build_uncoded_graph(ch, p, kind))

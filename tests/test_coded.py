@@ -1,11 +1,10 @@
-"""Coded-frame scheme: kernel structure, exact limits, switch variants."""
+"""Coded-frame scheme: kernel structure, exact limits, exhaustive oracle."""
 import numpy as np
 import pytest
 
 from gearq.channel import symmetric_composite
-from gearq.coded import build_coded_mgf, coded_metrics, default_coded_kernel
-from gearq.genfunc import scalarize
-from gearq.protocols import ModelSwitches, ProtocolParams, uncoded_metrics
+from gearq.coded import coded_metrics, default_coded_kernel
+from gearq.protocols import ProtocolParams, uncoded_metrics
 
 from exhaustive import enumerate_coded
 
@@ -84,23 +83,6 @@ def test_normalization_and_frame_bounds_on_grid():
             assert m.delay_mean >= 5.0
 
 
-def test_displayed_variant_switches_stay_proper():
-    ch = channel(0.3)
-    for sw in (
-        ModelSwitches(coded_delay_prefix="displayed"),
-        ModelSwitches(coded_stage_z=True),
-        ModelSwitches(coded_am_loop="displayed"),
-    ):
-        p = ProtocolParams(k=5, T=10, scheme="coded", M=5, N=4, switches=sw)
-        kern = default_coded_kernel(ch, p)
-        for kind in ("tau", "delay"):
-            value, mean = scalarize(
-                kern.start_vector(), build_coded_mgf(ch, p, kern, kind)
-            )
-            assert abs(value - 1.0) <= 1e-9
-            assert mean > 0
-
-
 @pytest.mark.parametrize("eps,k,T,M,N", [
     (0.6, 3, 3, 3, 2),
     (0.6, 3, 4, 3, 2),
@@ -121,17 +103,3 @@ def test_kernel_matches_exhaustive_enumeration(eps, k, T, M, N):
     assert e_tau == pytest.approx(m.frame_tau_mean, abs=2e-8)
     assert e_delay == pytest.approx(m.delay_mean, abs=2e-7)
 
-
-def test_displayed_delay_prefix_shifts_mean():
-    # the published delay prefix inserts one extra slot/step before the
-    # first feedback relative to the round-exact prefix
-    ch = channel(0.2)
-    base = ProtocolParams(k=5, T=10, scheme="coded", M=5, N=4)
-    disp = ProtocolParams(
-        k=5, T=10, scheme="coded", M=5, N=4,
-        switches=ModelSwitches(coded_delay_prefix="displayed"),
-    )
-    m0 = coded_metrics(ch, base)
-    m1 = coded_metrics(ch, disp)
-    assert m1.delay_mean == pytest.approx(m0.delay_mean + 1.0, abs=0.2)
-    assert m1.delay_mean > m0.delay_mean

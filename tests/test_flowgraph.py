@@ -7,7 +7,7 @@ import pytest
 from gearq.channel import symmetric_composite
 from gearq.flowgraph import FlowGraph, GraphError, build_uncoded_graph, eliminate_node, graph_gain
 from gearq.genfunc import DualMatrix, dual_term
-from gearq.protocols import NominalAttempts, ProtocolParams, build_arq_mgf
+from gearq.protocols import ProtocolParams, attempt_model_for, build_arq_mgf
 
 TOL = 1e-12
 
@@ -99,11 +99,14 @@ def test_elimination_order_independent_random_graphs():
 
 @pytest.mark.parametrize("kind", ["tau", "delay"])
 def test_graph_equals_closed_form_on_grid(kind):
-    for eps in (0.05, 0.2, 0.35, 0.5, 0.6):
+    # the graph reads the channel's own matrices, so the eps_G > 0 case
+    # checks the attempt model's constant sequence independently
+    channels = [(0.0, 1.0, eps) for eps in (0.05, 0.2, 0.35, 0.5, 0.6)] + [(0.1, 0.9, 0.4)]
+    for eps_G, eps_B, eps in channels:
         for T in (5, 10, 20):
-            ch = symmetric_composite(0.3, 0.0, 1.0, eps)
+            ch = symmetric_composite(0.3, eps_G, eps_B, eps)
             p = ProtocolParams(k=5, T=T)
-            closed = build_arq_mgf(ch, p, NominalAttempts(ch), kind)
+            closed = build_arq_mgf(ch, p, attempt_model_for(ch, p), kind)
             gg = graph_gain(build_uncoded_graph(ch, p, kind))
             assert np.max(np.abs(closed.val - gg.val)) <= TOL
             assert np.max(np.abs(closed.der - gg.der)) <= TOL

@@ -6,10 +6,8 @@ from gearq.channel import ParameterError, build_half_channel, build_composite, s
 from gearq.coded import build_coded_mgf, coded_metrics, default_coded_kernel
 from gearq.genfunc import NonConvergenceError, scalarize
 from gearq.protocols import (
-    ModelSwitches,
-    NominalAttempts,
+    AttemptModel,
     ProtocolParams,
-    SoftCombiningAttempts,
     attempt_model_for,
     build_arq_mgf,
     harq_metrics,
@@ -21,6 +19,23 @@ EPS_GRID = [round(0.05 * i, 2) for i in range(1, 13)]
 
 def channel(eps):
     return symmetric_composite(0.3, 0.0, 1.0, eps)
+
+
+# a channel whose good state also erases: eps_G = 0.1, eps_B = 0.9
+LOSSY_G = symmetric_composite(0.3, 0.1, 0.9, 0.4)
+
+
+def harq_params(T, gamma_over_rho):
+    return ProtocolParams(k=5, T=T, scheme="harq", gamma_over_rho=gamma_over_rho)
+
+
+def constant_harq(ch, T):
+    """(tau, delay) means of HARQ held at the nominal eps_B for every attempt."""
+    att = AttemptModel(ch, ch.rev.eps_B)
+    p = harq_params(T, 1.0)
+    _, tau = scalarize(ch.pi_I, build_arq_mgf(ch, p, att, "tau"))
+    _, delay = scalarize(ch.pi_I, build_arq_mgf(ch, p, att, "delay"))
+    return tau, delay
 
 
 def test_params_validation():
@@ -44,7 +59,7 @@ def test_error_free_uncoded():
 
 def test_soft_combining_rates():
     # state-B error rate 1 - exp(-1/m) for gamma/rho = 1
-    att = SoftCombiningAttempts(channel(0.3), 1.0)
+    att = attempt_model_for(channel(0.3), harq_params(10, 1.0))
     assert att.eps_B(1) == pytest.approx(0.632121, abs=1e-6)
     assert att.eps_B(2) == pytest.approx(0.393469, abs=1e-6)
     ebs = [att.eps_B(m) for m in range(1, 30)]
@@ -52,39 +67,36 @@ def test_soft_combining_rates():
 
 
 def test_attempt_matrices_partition_and_monotone():
-    ch = channel(0.3)
-    att = SoftCombiningAttempts(ch, 3.0)
-    prev = None
-    for m in range(1, 8):
-        total = att.Px0(m) + att.Px1(m)
-        assert np.allclose(total, ch.Pc, atol=1e-12)
-        if prev is not None:
-            assert np.all(att.Px1(m) <= prev + 1e-12)
-        prev = att.Px1(m)
+    for ch in (channel(0.3), LOSSY_G):
+        att = attempt_model_for(ch, harq_params(10, 3.0))
+        prev = None
+        for m in range(1, 8):
+            X0, X1 = att.observation(m)
+            assert np.allclose(X0 + X1, ch.Pc, atol=1e-12)
+            if prev is not None:
+                assert np.all(X1 <= prev + 1e-12)
+            prev = X1
 
 
 def test_harq_constant_equals_uncoded():
-    for eps in EPS_GRID:
-        ch = channel(eps)
+    # includes a channel with eps_G > 0: combining held at the nominal
+    # rate must keep state G's nominal rate too
+    for ch in [channel(eps) for eps in EPS_GRID] + [LOSSY_G]:
         for T in (5, 10, 20):
             mu = uncoded_metrics(ch, ProtocolParams(k=5, T=T))
-            mh = harq_metrics(
-                ch, ProtocolParams(k=5, T=T, scheme="harq", gamma_over_rho=1.0),
-                eps_B_fn=1.0,
-            )
-            assert abs(mu.tau_mean - mh.tau_mean) <= 1e-12
-            assert abs(mu.delay_mean - mh.delay_mean) <= 1e-12
-            assert abs(mu.throughput - mh.throughput) <= 1e-12
+            tau, delay = constant_harq(ch, T)
+            assert abs(mu.tau_mean - tau) <= 1e-12
+            assert abs(mu.delay_mean - delay) <= 1e-12
+            assert abs(mu.throughput - 1.0 / tau) <= 1e-12
 
 
 def test_harq_constant_equals_uncoded_entrywise():
     ch = channel(0.3)
     p_unc = ProtocolParams(k=5, T=10)
-    p_cmb = ProtocolParams(k=5, T=10, scheme="harq", gamma_over_rho=1.0)
-    const = SoftCombiningAttempts(ch, p_cmb.gamma_over_rho, eps_B_fn=1.0)
+    p_cmb = harq_params(10, 1.0)
     for kind in ("tau", "delay"):
-        a = build_arq_mgf(ch, p_unc, NominalAttempts(ch), kind)
-        b = build_arq_mgf(ch, p_cmb, const, kind)
+        a = build_arq_mgf(ch, p_unc, attempt_model_for(ch, p_unc), kind)
+        b = build_arq_mgf(ch, p_cmb, AttemptModel(ch, ch.rev.eps_B), kind)
         assert np.max(np.abs(a.val - b.val)) <= 1e-12
         assert np.max(np.abs(a.der - b.der)) <= 1e-12
 
@@ -107,7 +119,7 @@ def test_mgf_value_range():
     ch = channel(0.4)
     p = ProtocolParams(k=5, T=10)
     for kind in ("tau", "delay"):
-        phi = build_arq_mgf(ch, p, NominalAttempts(ch), kind)
+        phi = build_arq_mgf(ch, p, attempt_model_for(ch, p), kind)
         assert np.all(phi.val >= -1e-15)
         assert np.all(phi.val <= 1.0 + 1e-9)
         assert np.all(phi.val.sum(axis=1) <= 1.0 + 1e-9)
@@ -192,15 +204,6 @@ def test_harq_improves_delay_with_combining():
         assert mh.delay_mean <= mu.delay_mean
 
 
-def test_attempt_indexed_loop_switch_is_proper():
-    ch = channel(0.3)
-    sw = ModelSwitches(harq_loop="attempt_indexed")
-    p = ProtocolParams(k=5, T=10, scheme="harq", gamma_over_rho=3.0, switches=sw)
-    m = harq_metrics(ch, p)
-    assert m.mgf_err_tau <= 1e-9 and m.mgf_err_delay <= 1e-9
-    assert m.tau_mean >= 1.0
-
-
 @pytest.mark.parametrize("eps,T", [(0.3, 10), (0.5, 5), (0.6, 20)])
 def test_uncoded_matches_exhaustive_enumeration(eps, T):
     from exhaustive import enumerate_arq
@@ -215,40 +218,24 @@ def test_uncoded_matches_exhaustive_enumeration(eps, T):
     assert e_delay == pytest.approx(m.delay_mean, abs=2e-7)
 
 
-@pytest.mark.parametrize("eps,T", [(0.3, 10), (0.5, 5), (0.1, 10)])
-def test_harq_matches_exhaustive_enumeration(eps, T):
+@pytest.mark.parametrize(
+    "eps,T,eps_G,eps_B",
+    [(0.3, 10, 0.0, 1.0), (0.5, 5, 0.0, 1.0), (0.1, 10, 0.0, 1.0), (0.4, 10, 0.1, 0.9)],
+    ids=["0.3-10", "0.5-5", "0.1-10", "eps_G0.1-0.4-10"],
+)
+def test_harq_matches_exhaustive_enumeration(eps, T, eps_G, eps_B):
     # exact oracle for the combining recovery, index continuing across
-    # timer expiries
+    # timer expiries; the per-state rates come from the scheme's model
     from exhaustive import enumerate_arq
 
-    ch = channel(eps)
-    p = ProtocolParams(k=5, T=T, scheme="harq", gamma_over_rho=10 * eps)
-    att = SoftCombiningAttempts(ch, p.gamma_over_rho)
-    mass, e_tau, e_delay = enumerate_arq(
-        ch, p, lambda ri, st: att.eps_B(ri) if st == 1 else 0.0
-    )
+    ch = symmetric_composite(0.3, eps_G, eps_B, eps)
+    p = harq_params(T, 10 * eps)
+    att = attempt_model_for(ch, p)
+    mass, e_tau, e_delay = enumerate_arq(ch, p, lambda ri, st: att.rates(ri)[st])
     m = harq_metrics(ch, p)
     assert mass == pytest.approx(1.0, abs=1e-9)
     assert e_tau == pytest.approx(m.tau_mean, abs=2e-8)
     assert e_delay == pytest.approx(m.delay_mean, abs=2e-7)
-
-
-def test_attempt_horizon_exceeded():
-    ch = channel(0.3)
-    sw = ModelSwitches(harq_loop="attempt_indexed")
-    p = ProtocolParams(
-        k=5, T=10, scheme="harq", gamma_over_rho=3.0, max_attempts=3, switches=sw
-    )
-    with pytest.raises(NonConvergenceError):
-        harq_metrics(ch, p)
-
-
-def test_recovery_reset_switch_is_proper():
-    ch = channel(0.3)
-    sw = ModelSwitches(harq_recovery_reset=True)
-    p = ProtocolParams(k=5, T=10, scheme="harq", gamma_over_rho=3.0, switches=sw)
-    m = harq_metrics(ch, p)
-    assert m.mgf_err_tau <= 1e-9 and m.mgf_err_delay <= 1e-9
 
 
 def test_all_erased_feedback_never_converges():

@@ -2,10 +2,10 @@
 import numpy as np
 import pytest
 
-from gearq.channel import build_half_channel, symmetric_composite
+from gearq.channel import build_composite, build_half_channel, symmetric_composite
 from gearq.coded import coded_metrics
 from gearq.protocols import ProtocolParams, harq_metrics, uncoded_metrics
-from gearq.sim import SimConfig, ge_run, ge_step, pooled_estimate, simulate
+from gearq.sim import SimConfig, _chain_step, _draw_states, pooled_estimate, simulate
 
 
 def half(eps, r=0.3, eg=0.0, eb=1.0):
@@ -22,25 +22,41 @@ def cfg(scheme="uncoded", eps=0.3, T=10, seed=0, horizon=20_000, **kw):
     return SimConfig(params=p, fwd=h, rev=h, seed=seed, horizon=horizon, **kw)
 
 
-def test_ge_step_absorbing():
+def run_chain(h, lanes, steps, seed, start=None):
+    """(states, erasures) of independent lanes, drawn as the simulator draws.
+
+    Lanes start from the stationary vector (or all in `start`), take one
+    `_chain_step` per slot and draw an erasure at the landing state.
+    """
+    rng = np.random.default_rng(seed)
+    cumP = np.cumsum(h.P, axis=1)
+    eps = np.array([h.eps_G, h.eps_B])
+    state = _draw_states(rng, h.pi, lanes) if start is None else np.full(lanes, start)
+    states = np.empty((steps, lanes), dtype=np.int64)
+    erased = np.empty((steps, lanes), dtype=bool)
+    for t in range(steps):
+        u_step, u_obs = rng.random((2, lanes))
+        state = _chain_step(cumP, state, u_step)
+        states[t], erased[t] = state, u_obs < eps[state]
+    return states, erased
+
+
+def test_chain_sampler_absorbing():
     h = build_half_channel(0.3, 0.0, 1.0, 0.0)     # q = 0: G absorbing
-    state = 0
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        state, _ = ge_step(h, state, rng.random(), rng.random())
-        assert state == 0
+    states, _ = run_chain(h, lanes=1000, steps=100, seed=0, start=0)
+    assert np.all(states == 0)
 
 
-def test_ge_step_memoryless_iid():
+def test_chain_sampler_memoryless_iid():
     # r = 0 with constant erasure rate: i.i.d. erasures
     h = build_half_channel(0.0, 0.4, 0.4, 0.4)
-    _, erased = ge_run(h, 200_000, seed=1)
+    _, erased = run_chain(h, lanes=1000, steps=200, seed=1)
     assert erased.mean() == pytest.approx(0.4, abs=0.005)
 
 
-def test_ge_run_stationary_fraction():
+def test_chain_sampler_stationary_fraction():
     h = build_half_channel(0.3, 0.0, 1.0, 0.5)      # q = 0.3: pi_G = 0.5
-    states, erased = ge_run(h, 1_000_000, seed=2)
+    states, erased = run_chain(h, lanes=1000, steps=1000, seed=2)
     assert (states == 0).mean() == pytest.approx(0.5, abs=0.005)
     # per-slot erasure rate converges to eps within 3 sigma
     assert erased.mean() == pytest.approx(0.5, abs=0.0015)
@@ -95,30 +111,26 @@ def test_feedback_erasures_hurt():
     )
 
 
-def test_uncoded_equals_constant_harq():
-    # constant per-attempt rates at the nominal value: identical draws
-    base = cfg(seed=3, horizon=20_000)
-    combined = cfg(scheme="harq", gamma_over_rho=3.0, seed=3, horizon=20_000,
-                   eps_B_override=1.0)
-    a, b = simulate(base), simulate(combined)
-    assert a.tau_mean_hat == b.tau_mean_hat
-    assert a.delay_mean_hat == b.delay_mean_hat
-
-
-@pytest.mark.parametrize("scheme,eps", [("uncoded", 0.3), ("harq", 0.3)])
-def test_sim_matches_analysis_quick(scheme, eps):
-    ch = symmetric_composite(0.3, 0.0, 1.0, eps)
-    if scheme == "uncoded":
-        ana = uncoded_metrics(ch, ProtocolParams(k=5, T=10))
-        stats = [simulate(cfg(seed=s, horizon=50_000)) for s in range(6)]
-    else:
-        ana = harq_metrics(
-            ch, ProtocolParams(k=5, T=10, scheme="harq", gamma_over_rho=3.0)
-        )
-        stats = [
-            simulate(cfg(scheme="harq", gamma_over_rho=3.0, seed=s, horizon=50_000))
-            for s in range(6)
-        ]
+@pytest.mark.parametrize(
+    "scheme,eps,eps_G,eps_B",
+    [
+        ("uncoded", 0.3, 0.0, 1.0),
+        ("harq", 0.3, 0.0, 1.0),
+        ("harq", 0.4, 0.1, 0.9),
+        # dropping eps_G from the recovery draw moves this delay by 0.19
+        # (|z| = 13 here); at eps_G = 0.1 it moves 0.04 (|z| = 1.6, unseen)
+        ("harq", 0.5, 0.3, 0.9),
+    ],
+    ids=["uncoded-0.3", "harq-0.3", "harq-0.4-eps_G0.1", "harq-0.5-eps_G0.3"],
+)
+def test_sim_matches_analysis_quick(scheme, eps, eps_G, eps_B):
+    h = half(eps, eg=eps_G, eb=eps_B)
+    ch = build_composite(h, h)
+    p = ProtocolParams(k=5, T=10, scheme=scheme, gamma_over_rho=3.0 if scheme == "harq" else 0.0)
+    ana = uncoded_metrics(ch, p) if scheme == "uncoded" else harq_metrics(ch, p)
+    stats = [
+        simulate(SimConfig(params=p, fwd=h, rev=h, seed=s, horizon=50_000)) for s in range(6)
+    ]
     tm, ts, dm, ds = pooled_estimate(stats)
     assert abs(ana.tau_mean - tm) <= 4 * ts
     assert abs(ana.delay_mean - dm) <= 4 * ds
