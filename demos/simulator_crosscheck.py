@@ -41,5 +41,6 @@ for scheme, eps, T in [
 
 print()
 print("The simulator shares no matrix algebra with the analytic path: it")
-print("steps the two chains slot by slot, draws per-state erasures, runs")
-print("timers and cumulative feedback, and simply counts transmissions.")
+print("draws the two chains' states where the protocol observes them, draws")
+print("per-state erasures, runs timers and cumulative feedback, and simply")
+print("counts transmissions.")

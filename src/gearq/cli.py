@@ -46,6 +46,12 @@ class SweepConfig:
     out: str = "sweep.csv"
     tol: float = 1e-12
 
+    def __post_init__(self):
+        if self.mode not in ("analytic", "sim", "both"):
+            raise ValueError(f"mode must be analytic, sim or both, not {self.mode!r}")
+        if self.mode != "analytic" and not self.seeds:
+            raise ValueError(f"a {self.mode} sweep needs at least one seed")
+
     def gamma_over_rho(self, eps: float) -> float:
         rule = self.gamma_over_rho_rule.replace(" ", "")
         if rule.endswith("*eps"):
@@ -94,10 +100,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
     for req in ("eps", "T", "schemes"):
         if req not in kwargs:
             raise ValueError(f"config is missing required key {req!r}")
-    cfg = SweepConfig(**kwargs)
-    if cfg.mode not in ("analytic", "sim", "both"):
-        raise ValueError(f"mode must be analytic, sim or both, not {cfg.mode!r}")
-    return cfg
+    return SweepConfig(**kwargs)
 
 
 def _fmt(x) -> str:

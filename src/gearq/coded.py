@@ -1,9 +1,9 @@
-"""MDS-coded frame ARQ: exact stage kernel and matching simulator rules.
+"""MDS-coded frame ARQ: exact stage kernel, matrix MGFs and metrics.
 
 A frame is M coded packets; any N distinct packets decode it.  Feedback
 is a cumulative degrees-of-freedom count, delivered each slot over the
 reverse chain.  Protocol semantics (shared by the analytic kernel and
-the simulator, which is normative):
+the coded lane rules of sim.py, which are normative):
 
 * the M packets go out back to back; the frame-level feedback arrives
   one RTT after the last of them;
@@ -278,117 +278,3 @@ def coded_metrics(
     delay = build_coded_mgf(ch, p, kern, "delay")
     return _metrics_from_mgfs(ch, p.M, tau, delay, pi_I=kern.start_vector())
 
-
-# ---------------------------------------------------------------------------
-# slot-level simulation (normative semantics)
-# ---------------------------------------------------------------------------
-
-_FAR = np.iinfo(np.int64).max // 4
-
-
-def simulate_coded(cfg, ch: CompositeChannel):
-    """Vectorized episodic simulation of the coded frame protocol.
-
-    Each lane runs one frame at a time over the joint chain, using the
-    per-tick event order: scheduled round start / timer expiry, packet
-    transmission (forward draw, DoF counting), feedback processing
-    (reverse draw, multi-ack, repair scheduling).  Returns SimStats with
-    frame-level tau and delay samples.
-    """
-    from .sim import SimStats, _Moments, _chain_step, _draw_states
-
-    p = cfg.params
-    k, T, M, N = p.k, p.T, p.M, p.N
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    cumP = np.cumsum(ch.Pc, axis=1)
-    eps_f = np.array([ch.fwd.eps_G, ch.fwd.eps_B])
-    eps_r = np.array([ch.rev.eps_G, ch.rev.eps_B])
-    init_dist = ch.pi_I if cfg.init_mode == "model" else ch.pi_c
-
-    B = min(cfg.batch, cfg.horizon)
-    quota = np.full(B, cfg.horizon // B, dtype=np.int64)
-    quota[: cfg.horizon % B] += 1
-
-    def fresh(mask):
-        n_new = int(mask.sum())
-        if n_new:
-            state[mask] = _draw_states(rng, init_dist, n_new)
-            s[mask] = 0
-            tau[mask] = 0
-            c_rx[mask] = 0
-            c_ack[mask] = 0
-            cnt_rem[mask] = 0
-            sched_start[mask] = k
-            sched_len[mask] = M
-            own_obs[mask] = _FAR
-            next_expiry[mask] = k + T
-
-    state = np.zeros(B, dtype=np.int64)
-    s = np.zeros(B, dtype=np.int64)
-    tau = np.zeros(B, dtype=np.int64)
-    c_rx = np.zeros(B, dtype=np.int64)
-    c_ack = np.zeros(B, dtype=np.int64)
-    cnt_rem = np.zeros(B, dtype=np.int64)
-    sched_start = np.zeros(B, dtype=np.int64)
-    sched_len = np.zeros(B, dtype=np.int64)
-    own_obs = np.zeros(B, dtype=np.int64)
-    next_expiry = np.zeros(B, dtype=np.int64)
-    active = quota > 0
-    fresh(active)
-    acc = _Moments()
-
-    while active.any():
-        u_step, u_f, u_r = rng.random((3, B))
-        state[active] = _chain_step(cumP, state[active], u_step[active])
-        s[active] += 1
-
-        mat = active & (s == sched_start)
-        cnt_rem[mat] = sched_len[mat]
-        own_obs[mat] = s[mat] + sched_len[mat] - 1
-        sched_start[mat] = _FAR
-
-        exp = active & (s == next_expiry)
-        if exp.any():
-            length = np.where(c_ack == 0, M, 1)
-            cnt_rem[exp] = length[exp]
-            own_obs[exp] = s[exp] + length[exp] - 1
-            next_expiry[exp] = s[exp] + T
-
-        cnt = active & (cnt_rem > 0)
-        tau[cnt] += 1
-        land = cnt & ~(u_f < eps_f[state // 2]) & (c_rx < N)
-        c_rx[land] += 1
-        cnt_rem[cnt] -= 1
-
-        # feedback is acted on only between rounds / at a round's last slot
-        fb = active & ~(u_r < eps_r[state % 2]) & (cnt_rem == 0)
-        prog = fb & (c_rx > c_ack)
-        if prog.any():
-            # charge repair packets already committed within one RTT
-            pend = prog & (next_expiry > s) & (next_expiry < s + k)
-            length = np.where(c_ack == 0, M, 1)
-            tau[pend] += np.minimum(s[pend] + k - next_expiry[pend], length[pend])
-        c_ack[prog] = c_rx[prog]
-        done = prog & (c_ack == N)
-        part = prog & ~done
-        if part.any():
-            cnt_rem[part] = 0
-            sched_start[part] = s[part] + k
-            sched_len[part] = 1
-            own_obs[part] = _FAR
-            next_expiry[part] = s[part] + k + T
-        nack = fb & ~prog & (s == own_obs)
-        if nack.any():
-            length = np.where(c_ack == 0, M, 1)
-            sched_start[nack] = s[nack] + k
-            sched_len[nack] = length[nack]
-            own_obs[nack] = _FAR
-            next_expiry[nack] = s[nack] + k + T
-
-        if done.any():
-            acc.add(tau[done], s[done])
-            quota[done] -= 1
-            more = done & (quota > 0)
-            active &= ~done | more
-            fresh(more)
-    return acc.stats()

@@ -4,13 +4,18 @@ perfbench/spans.py wraps the functions named in TRACED, and
 perfbench/run.py's Capture wraps four names on gearq.cli.  Both look
 them up by name at run time, so an API deletion would break the
 benchmark (and its --trace 1 mode) without any import error here.
-These tests read perfbench/ and patch nothing.
+perfbench/run.py also reads SimStats fields in its simulator rates and
+its sim-vs-analytic check.  These tests read perfbench/ and patch
+nothing.
 """
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
 import gearq
+from gearq import ProtocolParams, SimConfig, build_half_channel, simulate
+from gearq.channel import build_composite
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -58,3 +63,29 @@ def test_capture_names_resolve_on_cli():
         pass
     assert {"uncoded_metrics", "harq_metrics", "coded_metrics", "simulate"} <= cli.names
     assert all(callable(getattr(gearq.cli, name)) for name in cli.names)
+
+
+SIM_FIELDS = (
+    "delivered", "slots_elapsed", "tau_mean_hat", "tau_stderr", "delay_mean_hat", "delay_stderr",
+)
+
+
+def test_sim_stats_fields_read_by_benchmark():
+    run = load("run")
+    source = (PERFBENCH / "run.py").read_text()
+    assert all(re.search(rf"\.{field}\b", source) for field in SIM_FIELDS)
+
+    k, horizon = 5, 2_000
+    h = build_half_channel(0.3, 0.0, 1.0, 0.0)
+    p = ProtocolParams(k=k, T=10)
+    st = simulate(SimConfig(params=p, fwd=h, rev=h, seed=0, horizon=horizon))
+    assert st.delivered == horizon
+    # model slots, not engine iterations: an error-free packet takes k slots
+    assert st.slots_elapsed == k * horizon
+
+    pt = run.Point("uncoded", 0.0, 10, 0.3)
+    result = run.PointResult(pt, 0, 1.0, {}, None, [(None, st, 0.5)])
+    assert run.sim_rates([result]) == (2 * horizon, 2 * k * horizon, k)
+    ana = gearq.uncoded_metrics(build_composite(h, h), p)
+    check = run.check_sim([result], {pt: ana})
+    assert check["ok"] and check["worst"] == 0.0

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -38,6 +39,15 @@ def test_parse_rejects_unknown_and_missing():
         parse_sweep_config("eps = 0.1\nT = 5")
     with pytest.raises(ValueError):
         parse_sweep_config("eps 0.1")
+
+
+def test_sim_sweep_needs_a_seed():
+    cfg = parse_sweep_config(BASIC + "seeds =\n")
+    assert cfg.seeds == ()  # an analytic sweep draws no seeds
+    with pytest.raises(ValueError, match="at least one seed"):
+        parse_sweep_config(BASIC.replace("mode = analytic", "mode = sim") + "seeds =\n")
+    with pytest.raises(ValueError, match="at least one seed"):
+        replace(cfg, mode="both")
 
 
 def test_gamma_rule():

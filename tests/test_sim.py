@@ -5,7 +5,14 @@ import pytest
 from gearq.channel import build_composite, build_half_channel, symmetric_composite
 from gearq.coded import coded_metrics
 from gearq.protocols import ProtocolParams, harq_metrics, uncoded_metrics
-from gearq.sim import SimConfig, _chain_step, _draw_states, pooled_estimate, simulate
+from gearq.sim import (
+    SimConfig,
+    _chain_step,
+    _draw_states,
+    _jump_rows,
+    pooled_estimate,
+    simulate,
+)
 
 
 def half(eps, r=0.3, eg=0.0, eb=1.0):
@@ -62,19 +69,60 @@ def test_chain_sampler_stationary_fraction():
     assert erased.mean() == pytest.approx(0.5, abs=0.0015)
 
 
+@pytest.mark.parametrize("j", [2, 5, 10])
+def test_jump_rows_match_repeated_steps(j):
+    # one draw from the rows of Pc^j lands where j single steps land
+    h = half(0.4)
+    ch = build_composite(h, half(0.3, eg=0.1, eb=0.9))
+    lanes = 100_000
+    rng = np.random.default_rng(j)
+    start = rng.integers(0, 4, lanes)
+    jumped = _chain_step(_jump_rows(ch.Pc, [1, j]), 4 + start, rng.random(lanes))
+    stepped = start
+    cumP = np.cumsum(ch.Pc, axis=1)
+    for _ in range(j):
+        stepped = _chain_step(cumP, stepped, rng.random(lanes))
+    exact = np.linalg.matrix_power(ch.Pc, j)
+    for s0 in range(4):
+        n = int((start == s0).sum())
+        sigma = np.sqrt(exact[s0] * (1 - exact[s0]) / n)
+        for landed in (jumped, stepped):
+            freq = np.bincount(landed[start == s0], minlength=4) / n
+            assert np.all(np.abs(freq - exact[s0]) <= 4 * sigma + 1e-12)
+
+
 def test_error_free_exactness():
     st = simulate(cfg(eps=0.0, horizon=10_000))
     assert st.tau_mean_hat == 1.0
     assert st.delay_mean_hat == 5.0
     assert st.tau_stderr == 0.0
+    assert st.slots_elapsed == 5 * 10_000
+
+
+def test_harq_error_free_exactness():
+    st = simulate(cfg("harq", eps=0.0, gamma_over_rho=3.0, horizon=10_000))
+    assert (st.tau_mean_hat, st.delay_mean_hat) == (1.0, 5.0)
+    assert st.tau_stderr == st.delay_stderr == 0.0
+
+
+SCHEME_KW = {"uncoded": {}, "harq": {"gamma_over_rho": 3.0}, "coded": {"M": 5, "N": 4}}
 
 
 def test_determinism():
-    a = simulate(cfg(seed=7))
-    b = simulate(cfg(seed=7))
-    assert a == b
-    c = simulate(cfg(seed=8))
-    assert c != a
+    for scheme, kw in SCHEME_KW.items():
+        a = simulate(cfg(scheme, seed=7, horizon=5_000, **kw))
+        b = simulate(cfg(scheme, seed=7, horizon=5_000, **kw))
+        assert a == b, scheme
+        c = simulate(cfg(scheme, seed=8, horizon=5_000, **kw))
+        assert c != a, scheme
+
+
+@pytest.mark.parametrize("scheme", SCHEME_KW)
+@pytest.mark.parametrize("horizon,batch", [(1_500, 400), (1_000, 4096)])
+def test_every_started_episode_is_delivered(scheme, horizon, batch):
+    # horizon % batch != 0, and batch > horizon
+    st = simulate(cfg(scheme, eps=0.4, horizon=horizon, batch=batch, **SCHEME_KW[scheme]))
+    assert st.delivered == horizon
 
 
 def test_sample_floors():
@@ -89,6 +137,25 @@ def test_config_validation():
         cfg(horizon=10)
     with pytest.raises(ValueError):
         cfg(init_mode="whatever")
+
+
+@pytest.mark.parametrize("batch", [0, -5])
+def test_config_rejects_nonpositive_batch(batch):
+    with pytest.raises(ValueError, match="batch"):
+        cfg(batch=batch)
+
+
+def test_pooled_estimate_pools_episode_moments():
+    a = simulate(cfg(seed=1, horizon=5_000))
+    b = simulate(cfg(seed=2, horizon=5_000))
+    tm, ts, dm, ds = pooled_estimate([a, b])
+    assert tm == pytest.approx((a.tau_mean_hat + b.tau_mean_hat) / 2)
+    assert ts == pytest.approx(np.hypot(a.tau_stderr, b.tau_stderr) / 2)
+    assert dm == pytest.approx((a.delay_mean_hat + b.delay_mean_hat) / 2)
+    assert ds == pytest.approx(np.hypot(a.delay_stderr, b.delay_stderr) / 2)
+    assert pooled_estimate([a]) == (a.tau_mean_hat, a.tau_stderr, a.delay_mean_hat, a.delay_stderr)
+    with pytest.raises(ValueError):
+        pooled_estimate([])
 
 
 def test_feedback_erasures_hurt():
@@ -117,8 +184,8 @@ def test_feedback_erasures_hurt():
         ("uncoded", 0.3, 0.0, 1.0),
         ("harq", 0.3, 0.0, 1.0),
         ("harq", 0.4, 0.1, 0.9),
-        # dropping eps_G from the recovery draw moves this delay by 0.19
-        # (|z| = 13 here); at eps_G = 0.1 it moves 0.04 (|z| = 1.6, unseen)
+        # dropping eps_G from the recovery draw moves this delay by 0.17
+        # (|z| = 6.4 here); at eps_G = 0.1 it moves 0.04 (|z| = 2.1, unseen)
         ("harq", 0.5, 0.3, 0.9),
     ],
     ids=["uncoded-0.3", "harq-0.3", "harq-0.4-eps_G0.1", "harq-0.5-eps_G0.3"],
