@@ -9,6 +9,7 @@ success/error matrices, one for each (forward bit, reverse bit) pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -105,6 +106,9 @@ def _freeze(*arrays: np.ndarray) -> None:
         a.flags.writeable = False
 
 
+# A HalfChannel is immutable, so calls at the same link parameters share
+# one; typed, so that 0 and 0.0 keep the field types of the call.
+@lru_cache(maxsize=128, typed=True)
 def build_half_channel(r: float, eps_G: float, eps_B: float, eps: float) -> HalfChannel:
     """Construct one channel direction from (r, eps_G, eps_B, eps).
 

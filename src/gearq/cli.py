@@ -96,7 +96,10 @@ def parse_sweep_config(text: str) -> SweepConfig:
         if key not in known:
             raise ValueError(f"unknown config key {key!r}")
         name = "gamma_over_rho_rule" if key == "gamma_over_rho" else key
-        kwargs[name] = known[key](value)
+        try:
+            kwargs[name] = known[key](value)
+        except ValueError as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from None
     for req in ("eps", "T", "schemes"):
         if req not in kwargs:
             raise ValueError(f"config is missing required key {req!r}")
@@ -237,6 +240,26 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> tuple[str, int]:
     return buf.getvalue(), n_err
 
 
+def _load_config(args) -> SweepConfig:
+    """The config file's SweepConfig with the command-line overrides applied."""
+    with open(args.config, encoding="utf-8") as fh:
+        cfg = parse_sweep_config(fh.read())
+    overrides = {}
+    if args.mode:
+        overrides["mode"] = args.mode
+    if args.out:
+        overrides["out"] = args.out
+    if args.tol is not None:
+        overrides["tol"] = args.tol
+    if args.seeds:
+        try:
+            overrides["seeds"] = tuple(int(s) for s in args.seeds.split(","))
+        except ValueError:
+            msg = f"--seeds takes comma-separated integers, not {args.seeds!r}"
+            raise ValueError(msg) from None
+    return replace(cfg, **overrides)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="gearq", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -249,19 +272,13 @@ def main(argv=None) -> int:
     sweep.add_argument("--jobs", type=int, default=1, help="worker processes")
     args = parser.parse_args(argv)
 
-    with open(args.config, encoding="utf-8") as fh:
-        cfg = parse_sweep_config(fh.read())
-    overrides = {}
-    if args.mode:
-        overrides["mode"] = args.mode
-    if args.out:
-        overrides["out"] = args.out
-    if args.tol is not None:
-        overrides["tol"] = args.tol
-    if args.seeds:
-        overrides["seeds"] = tuple(int(s) for s in args.seeds.split(","))
-    if overrides:
-        cfg = replace(cfg, **overrides)
+    # a config error is one line on stderr and status 1; status 2 is
+    # kept for grid points that errored
+    try:
+        cfg = _load_config(args)
+    except (OSError, ValueError) as exc:
+        print(f"gearq: error: {exc}", file=sys.stderr)
+        return 1
 
     text, n_err = run_sweep(cfg, jobs=args.jobs)
     with open(cfg.out, "w", encoding="utf-8", newline="") as fh:

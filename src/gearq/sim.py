@@ -9,12 +9,14 @@ that slot's transmission together with the reverse bit of its feedback
 k slots later; D = k for an error-free exchange.
 
 One lane engine runs every scheme: each iteration advances every lane
-to its next decision and applies the scheme's transition rules.  A coded
-lane decides in every slot.  An uncoded or HARQ lane that waits for its
-own feedback decides nothing until that feedback's slot, so it jumps
-there in one draw from the rows of Pc^k or Pc^T (the intermediate
-states are never observed, so this is exact in distribution); its
-recovery slots are stepped one by one.
+to its next decision and applies the scheme's transition rules.  A lane
+that can decide nothing before a known slot jumps there in one draw
+from the rows of Pc^j, j slots on (the intermediate states are never
+observed, so this is exact in distribution).  An uncoded or HARQ lane
+waiting for its own feedback jumps k or T slots to it, and steps its
+recovery slots one by one.  A coded lane steps slot by slot while a
+packet is pending or a DoF is unacknowledged; from an idle slot it
+jumps to the next round start or timer expiry.
 
 Episode start states are drawn from the new-packet vector pi_I (the
 distribution the analysis assigns to the slot a fresh packet enters
@@ -130,9 +132,16 @@ def _jump_rows(P: np.ndarray, lengths) -> np.ndarray:
 
 
 def _chain_step(cumP: np.ndarray, state: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Landing states: invert row `state` of the cumulative rows cumP at u."""
-    rows = cumP[state]
-    return np.minimum((u[:, None] >= rows).sum(axis=1), cumP.shape[1] - 1)
+    """Landing states: invert row `state` of the cumulative rows cumP at u.
+
+    Counts the columns at or below u one column at a time; the last
+    column is left out, so a row that rounds below 1 still lands in the
+    last state.
+    """
+    landed = np.zeros_like(state)
+    for col in cumP.T[:-1]:
+        landed += u >= col[state]
+    return landed
 
 
 def _run_lanes(cfg: SimConfig, ch: CompositeChannel, fields, start, step) -> SimStats:
@@ -222,16 +231,21 @@ def _arq_rules(cfg: SimConfig, ch: CompositeChannel):
 
 
 def _coded_rules(cfg: SimConfig, ch: CompositeChannel):
-    """Coded-frame lanes, one slot per step, normative for coded.py's kernel.
+    """Coded-frame lanes, normative for coded.py's kernel.
 
     Per-slot event order: scheduled round start / timer expiry, packet
     transmission (forward draw, DoF counting), feedback processing
     (reverse draw, multi-ack, repair scheduling).  tau and s count a
-    frame's packets and slots.
+    frame's packets and slots.  A step covers one slot, except after an
+    idle slot: one that ends with no packet pending and no unacknowledged
+    DoF.  Nothing happens after it until the next round start or timer
+    expiry, so the next step jumps to that slot in one draw from the
+    rows of Pc^adv; a fresh frame jumps to its first round at slot k.
     """
     p = cfg.params
     k, T, M, N = p.k, p.T, p.M, p.N
-    cumP = np.cumsum(ch.Pc, axis=1)
+    # the timer never expires more than k + T slots ahead, so no jump is longer
+    jumps = _jump_rows(ch.Pc, range(1, k + T + 1))
     eps_f = np.array([ch.fwd.eps_G, ch.fwd.eps_B])
     eps_r = np.array([ch.rev.eps_G, ch.rev.eps_B])
 
@@ -241,11 +255,12 @@ def _coded_rules(cfg: SimConfig, ch: CompositeChannel):
         L.sched_start[idx] = k
         L.own_obs[idx] = _FAR
         L.next_expiry[idx] = k + T
+        L.adv[idx] = k
 
     def step(L, u):
         u_step, u_f, u_r = u
-        L.state = _chain_step(cumP, L.state, u_step)
-        L.s += 1
+        L.state = _chain_step(jumps, 4 * (L.adv - 1) + L.state, u_step)
+        L.s += L.adv
         s = L.s
         # the whole frame until a DoF is acknowledged, then single repairs
         length = np.where(L.c_ack == 0, M, 1)
@@ -275,9 +290,13 @@ def _coded_rules(cfg: SimConfig, ch: CompositeChannel):
         again = (prog & ~done) | (fb & ~prog & (s == L.own_obs))
         L.sched_start = np.where(again, s + k, L.sched_start)
         L.next_expiry = np.where(again, s + k + T, L.next_expiry)
+        idle = (L.cnt_rem == 0) & (L.c_rx == L.c_ack)
+        upcoming = np.where(L.sched_start > s, L.sched_start, L.next_expiry)
+        target = np.minimum(upcoming, L.next_expiry)
+        L.adv = np.where(idle, target - s, 1)
         return done
 
-    fields = ("c_rx", "c_ack", "cnt_rem", "sched_start", "own_obs", "next_expiry")
+    fields = ("c_rx", "c_ack", "cnt_rem", "sched_start", "own_obs", "next_expiry", "adv")
     return fields, start, step
 
 

@@ -66,8 +66,23 @@ def test_half_channel_invariants(r, eg, eb, eps):
     dict(r=0.1, eps_G=0.0, eps_B=1.0, eps=0.95),  # implied q > 1
 ])
 def test_half_channel_domain_errors(kwargs):
-    with pytest.raises(ParameterError):
-        build_half_channel(**kwargs)
+    for _ in range(2):  # a failed build is not remembered
+        with pytest.raises(ParameterError):
+            build_half_channel(**kwargs)
+
+
+def test_half_channel_is_shared_and_read_only():
+    h = build_half_channel(0.3, 0.0, 1.0, 0.4)
+    assert build_half_channel(0.3, 0.0, 1.0, 0.4) is h
+    for a in (h.P, h.P0, h.P1, h.pi):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.5
+    # 0 and 0.0 are equal keys, but each call gets its own field types
+    as_int = build_half_channel(0.3, 0, 1, 0.4)
+    assert type(as_int.eps_G) is int and type(as_int.eps_B) is int
+    assert type(h.eps_G) is float and type(h.eps_B) is float
+    assert build_half_channel(0.3, 0, 1, 0.4) is as_int
 
 
 def test_composite_symmetric_example():

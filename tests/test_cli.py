@@ -184,3 +184,32 @@ def test_main_seed_and_tol_overrides(tmp_path):
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_text() == out2.read_text()
+
+
+@pytest.mark.parametrize(
+    "config,extra,message",
+    [
+        (BASIC + "bogus = 1\n", [], "unknown config key 'bogus'"),
+        (BASIC.replace("mode = analytic", "mode = fast"), [], "mode must be"),
+        (BASIC.replace("mode = analytic", "mode = sim") + "seeds =\n", [], "at least one seed"),
+        (BASIC + "k = five\n", [], "config key 'k'"),
+        (BASIC, ["--seeds", "a"], "--seeds"),
+        (BASIC + "seeds =\n", ["--mode", "sim"], "at least one seed"),
+        (None, [], "No such file"),
+    ],
+    ids=["unknown-key", "bad-mode", "sim-without-seeds", "bad-value", "bad-seeds",
+         "sim-override-without-seeds", "missing-file"],
+)
+def test_main_config_errors_are_one_line(tmp_path, capsys, config, extra, message):
+    cfgfile = tmp_path / "sweep.cfg"
+    out = tmp_path / "res.csv"
+    if config is not None:
+        cfgfile.write_text(config)
+    rc = main(["sweep", "--config", str(cfgfile), "--out", str(out), *extra])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("gearq: error: ")
+    assert message in err[0]
+    assert not out.exists()

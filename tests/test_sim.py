@@ -69,6 +69,32 @@ def test_chain_sampler_stationary_fraction():
     assert erased.mean() == pytest.approx(0.5, abs=0.0015)
 
 
+def gathered_row_step(cumP, state, u):
+    """The reference inversion: compare u with the whole gathered row."""
+    return np.minimum((u[:, None] >= cumP[state]).sum(axis=1), cumP.shape[1] - 1)
+
+
+def test_chain_step_matches_gathered_rows():
+    rng = np.random.default_rng(5)
+    tables = []
+    for n in (2, 4):
+        for _ in range(20):
+            P = rng.random((n, n)) * (rng.random((n, n)) < 0.7)  # some zero entries
+            P[:, 0] += 1e-3
+            P /= P.sum(axis=1, keepdims=True)
+            tables.append(np.cumsum(P, axis=1))
+            tables.append(_jump_rows(P, range(1, 9)))  # stacked P^1 .. P^8
+    # a last column that rounds below 1
+    tables.append(np.array([[0.25, 0.5, 1.0 - 2**-40], [0.0, 0.0, 1.0 - 2**-30]]))
+    for cumP in tables:
+        state = rng.integers(0, cumP.shape[0], 5_000)
+        u = rng.random(5_000)
+        # u equal to an entry of its own row, and u above the row's last entry
+        u[:500] = cumP[state[:500], rng.integers(0, cumP.shape[1], 500)]
+        u[500:600] = np.nextafter(cumP[state[500:600], -1], 2.0)
+        assert np.array_equal(_chain_step(cumP, state, u), gathered_row_step(cumP, state, u))
+
+
 @pytest.mark.parametrize("j", [2, 5, 10])
 def test_jump_rows_match_repeated_steps(j):
     # one draw from the rows of Pc^j lands where j single steps land
@@ -207,6 +233,8 @@ def test_coded_sim_error_free():
     st = simulate(cfg(scheme="coded", eps=0.0, M=5, N=4, horizon=5_000))
     assert st.tau_mean_hat == 5.0
     assert st.delay_mean_hat == 9.0
+    # model slots, whatever the number of engine steps
+    assert st.slots_elapsed == 9 * 5_000
 
 
 def test_coded_sim_matches_analysis_quick():
@@ -217,6 +245,30 @@ def test_coded_sim_matches_analysis_quick():
     stats = [
         simulate(cfg(scheme="coded", eps=eps, M=5, N=4, seed=s, horizon=20_000))
         for s in range(6)
+    ]
+    tm, ts, dm, ds = pooled_estimate(stats)
+    assert abs(ana.frame_tau_mean - tm) <= 4 * ts
+    assert abs(ana.delay_mean - dm) <= 4 * ds
+
+
+@pytest.mark.parametrize(
+    "h,k,T,M,N",
+    [
+        # eps_G > 0 and a long timer: long idle stretches with G-state losses
+        (half(0.4, eg=0.1, eb=0.9), 5, 12, 5, 4),
+        # the corner T = k = M = N; a jump one slot short fails only here
+        (half(0.3), 3, 3, 3, 3),
+    ],
+    ids=["eps_G0.1-T12", "k3-T3-M3-N3"],
+)
+def test_coded_idle_jump_matches_analysis(h, k, T, M, N):
+    # jumping a lane over a slot that still holds an unacknowledged DoF
+    # skips feedback that would act: delay |z| > 6 on both cases
+    ch = build_composite(h, h)
+    p = ProtocolParams(k=k, T=T, scheme="coded", M=M, N=N)
+    ana = coded_metrics(ch, p)
+    stats = [
+        simulate(SimConfig(params=p, fwd=h, rev=h, seed=s, horizon=20_000)) for s in range(6)
     ]
     tm, ts, dm, ds = pooled_estimate(stats)
     assert abs(ana.frame_tau_mean - tm) <= 4 * ts
