@@ -27,7 +27,6 @@ from .genfunc import (
     dual_mul,
     dual_sum_truncated,
     dual_term,
-    dual_zero,
     scalarize,
     spectral_radius,
 )

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -51,6 +52,15 @@ class SweepConfig:
             raise ValueError(f"mode must be analytic, sim or both, not {self.mode!r}")
         if self.mode != "analytic" and not self.seeds:
             raise ValueError(f"a {self.mode} sweep needs at least one seed")
+        try:
+            ok = 0.0 <= self.gamma_over_rho(1.0) < math.inf
+        except ValueError:
+            ok = False
+        if not ok:
+            raise ValueError(
+                "gamma_over_rho must be a number or '<c>*eps' with c >= 0, "
+                f"not {self.gamma_over_rho_rule!r}"
+            )
 
     def gamma_over_rho(self, eps: float) -> float:
         rule = self.gamma_over_rho_rule.replace(" ", "")
@@ -272,19 +282,21 @@ def main(argv=None) -> int:
     sweep.add_argument("--jobs", type=int, default=1, help="worker processes")
     args = parser.parse_args(argv)
 
-    # a config error is one line on stderr and status 1; status 2 is
-    # kept for grid points that errored
+    # a config error or an unwritable output is one line on stderr and
+    # status 1, before any grid point runs; status 3 means some grid
+    # points errored (argparse's usage errors are status 2)
     try:
         cfg = _load_config(args)
+        fh = open(cfg.out, "w", encoding="utf-8", newline="")
     except (OSError, ValueError) as exc:
         print(f"gearq: error: {exc}", file=sys.stderr)
         return 1
 
-    text, n_err = run_sweep(cfg, jobs=args.jobs)
-    with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+    with fh:
+        text, n_err = run_sweep(cfg, jobs=args.jobs)
         fh.write(text)
     print(f"wrote {cfg.out} ({text.count(chr(10)) - 1} rows, {n_err} errors)")
-    return 2 if n_err else 0
+    return 3 if n_err else 0
 
 
 if __name__ == "__main__":

@@ -209,60 +209,42 @@ def build_coded_mgf(
     kern = default_coded_kernel(ch, p) if kernel is None else kernel
     k, T, M, N = p.k, p.T, p.M, p.N
     slot = kind == "delay"
-    tol = p.series_tol
 
-    def plain(j: int) -> DualMatrix:
-        return dual_term(np.linalg.matrix_power(kern.plain, j), j if slot else 0, z)
-
-    def kpow(n: int, j: int) -> DualMatrix:
-        return dual_term(np.linalg.matrix_power(kern.K[n - 1], j), j, z)
-
-    # initial round: k-1 plain slots to line up the first feedback, then
-    # M-1 packet slots; the M-th packet shares the decisive step below.
-    prefix = dual_mul(plain(k - 1), kpow(1, M - 1))
-
-    # frame retransmission loop while nothing is acknowledged
-    obs0 = {(x, y): kern.P_C(1, x, y) for x in (0, 1) for y in (0, 1)}
     Pk1 = np.linalg.matrix_power(kern.plain, k - 1)
-    PTM = np.linalg.matrix_power(kern.plain, T - M)
-    KM1 = np.linalg.matrix_power(kern.K[0], M - 1)
-    loop = dual_add(
-        dual_term(obs0[(1, 0)] @ Pk1 @ KM1, (k + M - 1) if slot else M, z),
-        dual_term(obs0[(1, 1)] @ PTM @ KM1, T if slot else M, z),
-    )
-    ack0_z = 1 + (_in_flight(0, k, T, M) if kind == "tau" else 0)
-    stage1 = dual_mul(dual_geo(loop), dual_add(
-        dual_term(obs0[(0, 0)], ack0_z, z),
-        dual_mul(
-            dual_term(obs0[(0, 1)], 1, z),
-            _recovery_walk(kern, 1, M, k, T, kind, z, tol),
-        ),
-    ))
-    phi = dual_mul(prefix, stage1)
 
-    for n in range(2, N + 1):
-        entry = dual_term(kern.P_A(n - 1), 0, z)
+    def stage(n: int, L: int) -> DualMatrix:
+        """Stage n in rounds of L packets: k-1 slots line up the feedback,
+        L-1 packets precede the decisive step (the L-th), the round repeats
+        while nothing is acknowledged, then an ACK or the recovery walk."""
         obs = {(x, y): kern.P_C(n, x, y) for x in (0, 1) for y in (0, 1)}
-        rep_loop = dual_add(
-            dual_term(obs[(1, 0)] @ Pk1, k if slot else 1, z),
+        KL1 = np.linalg.matrix_power(kern.K[n - 1], L - 1)
+        loop = dual_add(
+            dual_term(obs[(1, 0)] @ Pk1 @ KL1, (k + L - 1) if slot else L, z),
             dual_term(
-                obs[(1, 1)] @ np.linalg.matrix_power(kern.plain, T - 1),
-                T if slot else 1,
+                obs[(1, 1)] @ np.linalg.matrix_power(kern.plain, T - L) @ KL1,
+                T if slot else L,
                 z,
             ),
         )
+        ack_z = 1 + (0 if slot else _in_flight(0, k, T, L))
         exits = dual_add(
-            dual_term(obs[(0, 0)], 1, z),
+            dual_term(obs[(0, 0)], ack_z, z),
             dual_mul(
                 dual_term(obs[(0, 1)], 1, z),
-                _recovery_walk(kern, n, 1, k, T, kind, z, tol),
+                _recovery_walk(kern, n, L, k, T, kind, z, p.series_tol),
             ),
         )
-        repair = dual_mul(
-            dual_term(kern.proj_zero @ Pk1, (k - 1) if slot else 0, z),
-            dual_mul(dual_geo(rep_loop), exits),
+        send = dual_mul(dual_term(Pk1, (k - 1) if slot else 0, z), dual_term(KL1, L - 1, z))
+        return dual_mul(send, dual_mul(dual_geo(loop), exits))
+
+    # stage(1, M): the frame goes out whole; a later stage either holds its
+    # DoF already (proj_up) or sends single-packet repair rounds
+    phi = stage(1, M)
+    for n in range(2, N + 1):
+        repair = dual_mul(dual_term(kern.proj_zero, 0, z), stage(n, 1))
+        factor = dual_mul(
+            dual_term(kern.P_A(n - 1), 0, z), dual_add(dual_term(kern.proj_up, 0, z), repair)
         )
-        factor = dual_mul(entry, dual_add(dual_term(kern.proj_up, 0, z), repair))
         phi = dual_mul(phi, factor)
     return phi
 

@@ -61,10 +61,6 @@ def dual_identity(n: int) -> DualMatrix:
     return DualMatrix(np.eye(n), np.zeros((n, n)))
 
 
-def dual_zero(n: int) -> DualMatrix:
-    return DualMatrix(np.zeros((n, n)), np.zeros((n, n)))
-
-
 def dual_add(a: DualMatrix, b: DualMatrix) -> DualMatrix:
     return DualMatrix(a.val + b.val, a.der + b.der)
 

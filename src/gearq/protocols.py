@@ -8,14 +8,18 @@ feedback.  The recovery draws its reverse erasure rates from one
 AttemptModel: the uncoded scheme is its constant sequence at the nominal
 rate, soft combining a rate that falls with the combining index.
 
-z-power conventions: in the transmission-time MGF z counts packet
-transmissions; in the delay MGF z counts slots.  Feedback for the packet
-sent in slot t arrives in slot t+k, so an error-free first exchange has
-delay k.
+Both MGFs are one construction; only the z-powers differ.  In the
+transmission-time MGF z counts packet transmissions; in the delay MGF z
+counts slots.  Feedback for the packet sent in slot t arrives in slot
+t+k, so an error-free first exchange has delay k.  The recovery is one
+per-slot walk that charges delay one z per slot and transmissions one z
+per timer expiry (the pointless retransmission); a constant model closes
+it exactly over one T-slot period.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -126,54 +130,43 @@ def _chain_power(ch: CompositeChannel, n: int) -> np.ndarray:
     return np.linalg.matrix_power(ch.Pc, n)
 
 
-def _recovery_presum(
-    att: AttemptModel, budget: int, base: int, slot_z: bool, z: float
-) -> tuple[DualMatrix, DualMatrix]:
-    """Feedback-recovery wait limited to `budget` slots before timer expiry.
+def _recovery_walk(att: AttemptModel, p: ProtocolParams, kind: str, z: float) -> DualMatrix:
+    """Wait for a delivered cumulative feedback after the ACK was erased.
 
-    Returns (sum over a success within the budget, product over the
-    all-erased budget).  Combining indices run base+1 .. base+budget.
-    With slot_z, each waiting slot and the final success slot carry one
-    z (delay accounting); otherwise the branch is z-free (transmission
-    accounting).
+    Slot j >= 1 observes att.observation(j): X0(j) ends the wait, X1(j)
+    continues it, and both carry z^e(j).  Delay counts every slot
+    (e = 1); transmission counts the pointless retransmission at each
+    timer expiry, j = d+1, d+1+T, ... (e = 1 there, 0 elsewhere).  A
+    constant model sums the first d slots, then one T-slot period closed
+    exactly with dual_geo; otherwise the per-slot series is truncated at
+    p.series_tol, the combining index running on.
     """
-    total = None
-    prefix = dual_identity(4)
-    for j in range(budget):
-        X0, X1 = att.observation(base + j + 1)
-        term = dual_mul(prefix, dual_term(X0, 1 if slot_z else 0, z))
-        total = term if total is None else dual_add(total, term)
-        prefix = dual_mul(prefix, dual_term(X1, 1 if slot_z else 0, z))
-    if total is None:
-        total = dual_term(np.zeros((4, 4)), 0, z)
-    return total, prefix
+    d, T = p.d, p.T
 
-
-def _recovery_tail(att: AttemptModel, base: int, T: int, z: float, tol: float) -> DualMatrix:
-    """Post-expiry recovery in the transmission MGF, combining index continuing.
-
-    Window w covers T feedback slots after the w-th pointless
-    retransmission, which costs one z.  A constant model repeats the
-    same window, closed exactly with dual_geo; otherwise terms decay
-    because the all-erased prefix keeps shrinking, and the series is
-    truncated at tol.
-    """
-    retx = dual_term(np.eye(4), 1, z)
-    if att.constant:
-        exit_sum, allfail = _recovery_presum(att, T, base, False, z)
-        loop = dual_geo(dual_mul(retx, allfail))
-        return dual_mul(loop, dual_mul(retx, exit_sum))
-
-    def windows():
-        prefix = dual_identity(4)
-        b = base
+    def slots(j: int):
+        """(the walk ends at slot i, it waits through slot i) for i >= j."""
+        wait = dual_identity(4)
         while True:
-            exit_sum, allfail = _recovery_presum(att, T, b, False, z)
-            yield dual_mul(prefix, dual_mul(retx, exit_sum))
-            prefix = dual_mul(prefix, dual_mul(retx, allfail))
-            b += T
+            e = 1 if kind == "delay" or (j > d and (j - d - 1) % T == 0) else 0
+            X0, X1 = att.observation(j)
+            end = dual_mul(wait, dual_term(X0, e, z))
+            wait = dual_mul(wait, dual_term(X1, e, z))
+            yield end, wait
+            j += 1
 
-    return dual_sum_truncated(windows(), tol=tol)
+    if not att.constant:
+        return dual_sum_truncated((end for end, _ in slots(1)), tol=p.series_tol)
+
+    def window(j: int, n: int) -> tuple[DualMatrix, DualMatrix]:
+        """(sum of the ends at slots j .. j+n-1, the wait through them)."""
+        ends, wait = dual_term(np.zeros((4, 4)), 0), dual_identity(4)
+        for end, wait in islice(slots(j), n):
+            ends = dual_add(ends, end)
+        return ends, wait
+
+    lead_ends, lead_wait = window(1, d)
+    ends, wait = window(d + 1, T)
+    return dual_add(lead_ends, dual_mul(lead_wait, dual_mul(dual_geo(wait), ends)))
 
 
 def _arq_bracket(
@@ -181,36 +174,14 @@ def _arq_bracket(
 ) -> DualMatrix:
     """Feedback-resolution branch after a delivered packet: ACK, or recovery.
 
-    kind = "tau": the surviving-timer wait is split at d = T-k erased
-    feedbacks, after which pointless retransmissions cost z each.
-    kind = "delay": retransmissions are free, every slot costs z, and the
-    wait is the open-ended combining series.
+    P00 z^s + P01 z^s walk, where s = 1 (the feedback slot) for delay and
+    0 for transmissions.  The one recovery walk charges delay one z per
+    slot and transmissions one z per timer expiry, and closes a constant
+    model over one T-slot period.
     """
-    if kind == "tau":
-        head = dual_term(ch.P00, 0, z)
-        pre, allfail = _recovery_presum(att, p.d, 0, False, z)
-        tail = _recovery_tail(att, p.d, p.T, z, p.series_tol)
-        recov = dual_add(pre, dual_mul(allfail, tail))
-        return dual_add(head, dual_mul(dual_term(ch.P01, 0, z), recov))
-
-    # delay: z P00 + z^2 P01 sum_j z^j (prod X1) X0(j+1)
-    head = dual_term(ch.P00, 1, z)
-    if att.constant:
-        X0, X1 = att.observation(1)
-        wait = dual_mul(dual_geo(dual_term(X1, 1, z)), dual_term(X0, 0, z))
-    else:
-
-        def series():
-            prefix = dual_identity(4)
-            j = 0
-            while True:
-                X0, X1 = att.observation(j + 1)
-                yield dual_mul(prefix, dual_term(X0, 0, z))
-                prefix = dual_mul(prefix, dual_term(X1, 1, z))
-                j += 1
-
-        wait = dual_sum_truncated(series(), tol=p.series_tol)
-    return dual_add(head, dual_mul(dual_term(ch.P01, 2, z), wait))
+    s = 1 if kind == "delay" else 0
+    head = dual_term(ch.P00, s, z)
+    return dual_add(head, dual_mul(dual_term(ch.P01, s, z), _recovery_walk(att, p, kind, z)))
 
 
 def _loop_gain(ch: CompositeChannel, p: ProtocolParams, kind: str, z: float) -> DualMatrix:

@@ -5,10 +5,14 @@ perfbench/run.py's Capture wraps four names on gearq.cli.  Both look
 them up by name at run time, so an API deletion would break the
 benchmark (and its --trace 1 mode) without any import error here.
 perfbench/run.py also reads SimStats fields in its simulator rates and
-its sim-vs-analytic check.  These tests read perfbench/ and patch
+its sim-vs-analytic check, and its analytic check calls the flow graph,
+scalarize and Metrics fields.  These tests read perfbench/ and patch
 nothing.
 """
+import csv
 import importlib.util
+import io
+import json
 import re
 import sys
 from pathlib import Path
@@ -89,3 +93,20 @@ def test_sim_stats_fields_read_by_benchmark():
     ana = gearq.uncoded_metrics(build_composite(h, h), p)
     check = run.check_sim([result], {pt: ana})
     assert check["ok"] and check["worst"] == 0.0
+
+
+def test_check_analytic_runs_on_one_uncoded_point():
+    # mgf_check, the flow-graph oracle (build_uncoded_graph(ch, p, kind),
+    # graph_gain, scalarize) and the seed-0 reference, on one real point
+    run = load("run")
+    pt = run.Point("uncoded", 0.3, 10, 0.3)
+    text, n_err = gearq.cli.run_sweep(run.point_config(gearq, "analytic", pt, 0))
+    assert n_err == 0
+    (row,) = csv.DictReader(io.StringIO(text))
+    half = build_half_channel(pt.r, run.EPS_G, run.EPS_B, pt.eps)
+    ana = gearq.uncoded_metrics(build_composite(half, half), ProtocolParams(k=run.K, T=pt.T))
+    result = run.PointResult(pt, 0, 1.0, row, ana, [])
+    reference = json.loads((PERFBENCH / "reference_seed0.json").read_text())["analytic-grid"]
+    checks = run.check_analytic(gearq, [result], {pt.key(): reference[pt.key()]})
+    assert [c["name"] for c in checks] == ["mgf_check", "flowgraph_oracle", "seed0_reference"]
+    assert all(c["ok"] and c["count"] > 0 for c in checks), checks

@@ -55,6 +55,10 @@ def test_gamma_rule():
     assert cfg.gamma_over_rho(0.3) == pytest.approx(3.0)
     cfg2 = parse_sweep_config(BASIC + "gamma_over_rho = 2.5\n")
     assert cfg2.gamma_over_rho(0.3) == pytest.approx(2.5)
+    assert parse_sweep_config(BASIC + "gamma_over_rho = 0 * eps\n").gamma_over_rho(0.3) == 0.0
+    for rule in ("ten*eps", "-1*eps", "-2", "eps", "nan", "inf*eps", ""):
+        with pytest.raises(ValueError, match="gamma_over_rho"):
+            parse_sweep_config(BASIC + f"gamma_over_rho = {rule}\n")
 
 
 def test_error_free_row():
@@ -130,9 +134,34 @@ def test_main_exit_codes(tmp_path):
     assert rc == 0
     assert out.read_text().startswith(",".join(COLUMNS))
 
+    # an errored grid point: the CSV is written, and the status is not
+    # argparse's usage-error status 2
     cfgfile.write_text(BASIC.replace("0.1, 0.3", "0.1, 0.97"))
     rc = main(["sweep", "--config", str(cfgfile), "--out", str(out)])
-    assert rc == 2
+    assert rc == 3
+    assert "ParameterError" in out.read_text()
+    with pytest.raises(SystemExit) as usage:
+        main(["sweep"])
+    assert usage.value.code == 2
+
+
+def test_main_unwritable_out_fails_before_the_grid(tmp_path, capsys, monkeypatch):
+    cfgfile = tmp_path / "sweep.cfg"
+    cfgfile.write_text(BASIC)
+    out = tmp_path / "missing" / "res.csv"
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid ran before --out was checked")
+
+    monkeypatch.setattr("gearq.cli.run_sweep", no_grid)
+    rc = main(["sweep", "--config", str(cfgfile), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("gearq: error: ")
+    assert str(out) in err[0]
+    assert not out.parent.exists()
 
 
 def test_cross_validation_sweep_agrees():
@@ -196,9 +225,10 @@ def test_main_seed_and_tol_overrides(tmp_path):
         (BASIC, ["--seeds", "a"], "--seeds"),
         (BASIC + "seeds =\n", ["--mode", "sim"], "at least one seed"),
         (None, [], "No such file"),
+        (BASIC + "gamma_over_rho = ten*eps\n", [], "gamma_over_rho"),
     ],
     ids=["unknown-key", "bad-mode", "sim-without-seeds", "bad-value", "bad-seeds",
-         "sim-override-without-seeds", "missing-file"],
+         "sim-override-without-seeds", "missing-file", "bad-gamma-rule"],
 )
 def test_main_config_errors_are_one_line(tmp_path, capsys, config, extra, message):
     cfgfile = tmp_path / "sweep.cfg"

@@ -4,7 +4,16 @@ import pytest
 
 from gearq.channel import ParameterError, build_half_channel, build_composite, symmetric_composite
 from gearq.coded import build_coded_mgf, coded_metrics, default_coded_kernel
-from gearq.genfunc import NonConvergenceError, scalarize
+from gearq.genfunc import (
+    NonConvergenceError,
+    dual_add,
+    dual_geo,
+    dual_identity,
+    dual_mul,
+    dual_sum_truncated,
+    dual_term,
+    scalarize,
+)
 from gearq.protocols import (
     AttemptModel,
     ProtocolParams,
@@ -236,6 +245,92 @@ def test_harq_matches_exhaustive_enumeration(eps, T, eps_G, eps_B):
     assert mass == pytest.approx(1.0, abs=1e-9)
     assert e_tau == pytest.approx(m.tau_mean, abs=2e-8)
     assert e_delay == pytest.approx(m.delay_mean, abs=2e-7)
+
+
+def reference_arq_mgf(ch, p, att, kind, z):
+    """The ARQ MGF with the recovery built the older way, two constructions.
+
+    tau: a d-slot pre-sum, then T-slot windows each entered by a
+    pointless retransmission that costs one z (closed with dual_geo for
+    a constant model, a series over windows otherwise).  delay: the
+    per-slot series z^j (prod X1) X0, closed with dual_geo for a
+    constant model.
+    """
+
+    def presum(budget, base):
+        total, prefix = dual_term(np.zeros((4, 4)), 0, z), dual_identity(4)
+        for j in range(budget):
+            X0, X1 = att.observation(base + j + 1)
+            total = dual_add(total, dual_mul(prefix, dual_term(X0, 0, z)))
+            prefix = dual_mul(prefix, dual_term(X1, 0, z))
+        return total, prefix
+
+    if kind == "tau":
+        retx = dual_term(np.eye(4), 1, z)
+        pre, allfail = presum(p.d, 0)
+        if att.constant:
+            exit_sum, fail = presum(p.T, p.d)
+            tail = dual_mul(dual_geo(dual_mul(retx, fail)), dual_mul(retx, exit_sum))
+        else:
+
+            def windows():
+                prefix, base = dual_identity(4), p.d
+                while True:
+                    exit_sum, fail = presum(p.T, base)
+                    yield dual_mul(prefix, dual_mul(retx, exit_sum))
+                    prefix = dual_mul(prefix, dual_mul(retx, fail))
+                    base += p.T
+
+            tail = dual_sum_truncated(windows(), tol=p.series_tol)
+        recov = dual_add(pre, dual_mul(allfail, tail))
+        bracket = dual_add(dual_term(ch.P00, 0, z), dual_mul(dual_term(ch.P01, 0, z), recov))
+        loop = dual_add(
+            dual_term(ch.P10 @ np.linalg.matrix_power(ch.Pc, p.k - 1), 1, z),
+            dual_term(ch.P11 @ np.linalg.matrix_power(ch.Pc, p.T - 1), 1, z),
+        )
+        head = dual_term(np.linalg.matrix_power(ch.Pc, p.k - 1), 1, z)
+    else:
+        if att.constant:
+            X0, X1 = att.observation(1)
+            wait = dual_mul(dual_geo(dual_term(X1, 1, z)), dual_term(X0, 0, z))
+        else:
+
+            def series():
+                prefix, j = dual_identity(4), 1
+                while True:
+                    X0, X1 = att.observation(j)
+                    yield dual_mul(prefix, dual_term(X0, 0, z))
+                    prefix = dual_mul(prefix, dual_term(X1, 1, z))
+                    j += 1
+
+            wait = dual_sum_truncated(series(), tol=p.series_tol)
+        bracket = dual_add(dual_term(ch.P00, 1, z), dual_mul(dual_term(ch.P01, 2, z), wait))
+        loop = dual_add(
+            dual_term(ch.P10 @ np.linalg.matrix_power(ch.Pc, p.k - 1), p.k, z),
+            dual_term(ch.P11 @ np.linalg.matrix_power(ch.Pc, p.T - 1), p.T, z),
+        )
+        head = dual_term(np.linalg.matrix_power(ch.Pc, p.k - 1), p.k - 1, z)
+    return dual_mul(head, dual_mul(dual_geo(loop), bracket))
+
+
+@pytest.mark.parametrize("k,T", [(5, 5), (5, 20), (1, 1), (1, 4)])
+def test_recovery_walk_matches_reference_constructions(k, T):
+    # the one per-slot walk against the two constructions it replaced:
+    # same numbers for both kinds, constant and combining models, at
+    # z = 1 (mass and mean) and off it (where every z-power shows)
+    channels = [channel(0.1), channel(0.5), LOSSY_G, symmetric_composite(0.01, 0.0, 1.0, 0.3)]
+    for ch in channels:
+        eps = ch.fwd.eps
+        for scheme, gor in (("uncoded", 0.0), ("harq", 10 * eps)):
+            p = ProtocolParams(k=k, T=T, scheme=scheme, gamma_over_rho=gor)
+            att = attempt_model_for(ch, p)
+            for kind in ("tau", "delay"):
+                for z in (1.0, 0.99):
+                    got = build_arq_mgf(ch, p, att, kind, z)
+                    ref = reference_arq_mgf(ch, p, att, kind, z)
+                    for a, b in ((got.val, ref.val), (got.der, ref.der)):
+                        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), (
+                            scheme, eps, kind, z)
 
 
 def test_all_erased_feedback_never_converges():
