@@ -14,9 +14,11 @@ that can decide nothing before a known slot jumps there in one draw
 from the rows of Pc^j, j slots on (the intermediate states are never
 observed, so this is exact in distribution).  An uncoded or HARQ lane
 waiting for its own feedback jumps k or T slots to it, and steps its
-recovery slots one by one.  A coded lane steps slot by slot while a
-packet is pending or a DoF is unacknowledged; from an idle slot it
-jumps to the next round start or timer expiry.
+recovery slots one by one.  A coded step that starts a round sends all
+of it and lands on its last slot, the first its feedback can act on.
+Between rounds a coded lane steps slot by slot while a DoF is
+unacknowledged, and jumps from an idle slot to the next round start or
+timer expiry.
 
 Episode start states are drawn from the new-packet vector pi_I (the
 distribution the analysis assigns to the slot a fresh packet enters
@@ -27,6 +29,7 @@ estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from types import SimpleNamespace
 
 import numpy as np
@@ -37,7 +40,6 @@ from .protocols import ProtocolParams, attempt_model_for
 # lane legs of the uncoded/HARQ rules: one recovery slot, or a wait of
 # k (after a delivered NACK) or T (after a timeout) slots to own feedback
 RECOV, WAIT_K, WAIT_T = 0, 1, 2
-_FAR = np.iinfo(np.int64).max // 4  # a slot no episode reaches
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,8 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimStats:
-    """Sample means with standard errors from per-packet samples."""
+    """Sample means with standard errors from per-packet samples; engine
+    iterations and lane-steps of retired lanes (the shared budget's tail)."""
 
     tau_mean_hat: float
     tau_stderr: float
@@ -77,6 +80,8 @@ class SimStats:
     throughput_hat: float
     delivered: int
     slots_elapsed: int
+    iterations: int
+    retired_lane_steps: int
 
 
 class _Moments:
@@ -98,7 +103,7 @@ class _Moments:
         self.sq_d += float((delay.astype(float) ** 2).sum())
         self.slots += int(delay.sum())
 
-    def stats(self) -> SimStats:
+    def stats(self, iterations: int, retired_lane_steps: int) -> SimStats:
         n = self.n
         tau_mean = self.sum_tau / n
         d_mean = self.sum_d / n
@@ -112,6 +117,7 @@ class _Moments:
             throughput_hat=1.0 / tau_mean,
             delivered=n,
             slots_elapsed=self.slots,
+            iterations=iterations, retired_lane_steps=retired_lane_steps,
         )
 
 
@@ -129,6 +135,27 @@ def _jump_rows(P: np.ndarray, lengths) -> np.ndarray:
     return np.concatenate(
         [np.cumsum(np.linalg.matrix_power(P, j), axis=1) for j in lengths]
     )
+
+
+def _round_rows(leads: np.ndarray, P: np.ndarray, miss: np.ndarray, M: int) -> np.ndarray:
+    """Cumulative rows over c = 0..M of P(c received | start state y, landing state x).
+
+    From y a step moves by leads[i], then sends n packets on consecutive
+    slots of the chain P, each erased at rate miss[state], and lands on
+    the last one's state (the lead's when n = 0): row
+    ((i * (M + 1) + n) * s + y) * s + x, s = P.shape[0].  An x that y
+    cannot reach draws c = 0.
+    """
+    s = P.shape[0]
+    # R[n, c]: P(c received, landing state | state of the round's first slot)
+    R = np.zeros((M + 1, M + 1, s, s))
+    R[0, 0] = np.eye(s)
+    for n, move in enumerate([np.eye(s), *[P] * (M - 1)], start=1):
+        R[n] = R[n - 1] @ (move * miss) + np.roll(R[n - 1], 1, axis=0) @ (move * (1 - miss))
+    joint = np.moveaxis(leads[:, None, None] @ R, 2, -1)
+    total = joint.sum(axis=-1, keepdims=True)
+    cum = np.cumsum(joint, axis=-1) / np.where(total > 0, total, 1.0)
+    return np.where(total > 0, cum, 1.0).reshape(-1, M + 1)
 
 
 def _chain_step(cumP: np.ndarray, state: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -171,18 +198,22 @@ def _run_lanes(cfg: SimConfig, ch: CompositeChannel, fields, start, step) -> Sim
 
     begin(np.arange(B))
     active = np.ones(B, dtype=bool)
-    started = B
+    started = n_active = B
+    iterations = retired = 0
     acc = _Moments()
-    while active.any():
+    while n_active:
+        iterations += 1
+        retired += B - n_active
         ends = np.flatnonzero(step(L, rng.random((3, B))) & active)
         if ends.size:
             acc.add(L.tau[ends], L.s[ends])
             n_new = min(ends.size, cfg.horizon - started)
             active[ends[n_new:]] = False
+            n_active -= ends.size - n_new
             if n_new:
                 begin(ends[:n_new])
                 started += n_new
-    return acc.stats()
+    return acc.stats(iterations, retired)
 
 
 def _arq_rules(cfg: SimConfig, ch: CompositeChannel):
@@ -236,49 +267,47 @@ def _coded_rules(cfg: SimConfig, ch: CompositeChannel):
     Per-slot event order: scheduled round start / timer expiry, packet
     transmission (forward draw, DoF counting), feedback processing
     (reverse draw, multi-ack, repair scheduling).  tau and s count a
-    frame's packets and slots.  A step covers one slot, except after an
-    idle slot: one that ends with no packet pending and no unacknowledged
-    DoF.  Nothing happens after it until the next round start or timer
-    expiry, so the next step jumps to that slot in one draw from the
-    rows of Pc^adv; a fresh frame jumps to its first round at slot k.
+    frame's packets and slots.  A step lands adv slots on and sends the
+    whole round that starts there, if any: feedback is acted on only at
+    a round's last slot, and as T >= k >= M no round start or expiry
+    falls inside one, so one draw from the rows of Pc^(adv+n-1) lands on
+    that slot, which then draws the round's DoF count and the feedback.
+    adv is 1 while a DoF is unacknowledged; from an idle slot it reaches
+    the next round start or timer expiry (slot k for a fresh frame).
     """
     p = cfg.params
     k, T, M, N = p.k, p.T, p.M, p.N
-    # the timer never expires more than k + T slots ahead, so no jump is longer
-    jumps = _jump_rows(ch.Pc, range(1, k + T + 1))
+    # Pc^1 .. Pc^(k+T+M-1): the timer never expires more than k + T slots ahead
+    powers = np.stack(list(accumulate([ch.Pc] * (k + T + M - 1), np.matmul)))
+    jumps = np.cumsum(powers, axis=2).reshape(-1, 4)
     eps_f = np.array([ch.fwd.eps_G, ch.fwd.eps_B])
+    counts = _round_rows(powers[: k + T], ch.Pc, eps_f[np.arange(4) // 2], M)
     eps_r = np.array([ch.rev.eps_G, ch.rev.eps_B])
 
     def start(L, idx):
-        for f in ("tau", "c_rx", "c_ack", "cnt_rem"):
-            getattr(L, f)[idx] = 0
-        L.sched_start[idx] = k
-        L.own_obs[idx] = _FAR
+        L.tau[idx] = L.c_rx[idx] = L.c_ack[idx] = 0
+        L.sched_start[idx] = L.adv[idx] = k
         L.next_expiry[idx] = k + T
-        L.adv[idx] = k
 
     def step(L, u):
         u_step, u_f, u_r = u
-        L.state = _chain_step(jumps, 4 * (L.adv - 1) + L.state, u_step)
-        L.s += L.adv
-        s = L.s
+        # a round goes out at its scheduled start or when the timer expires:
         # the whole frame until a DoF is acknowledged, then single repairs
+        first = L.s + L.adv
+        exp = first == L.next_expiry
+        go = exp | (first == L.sched_start)
         length = np.where(L.c_ack == 0, M, 1)
-
-        # a round goes out at its scheduled start or when the timer expires
-        exp = s == L.next_expiry
-        go = exp | (s == L.sched_start)
-        L.cnt_rem = np.where(go, length, L.cnt_rem)
-        L.own_obs = np.where(go, s + length - 1, L.own_obs)
+        n, lead = go * length, L.adv - 1
+        rest = np.maximum(n - 1, 0)  # slots of the round after its first
+        count_row = 16 * ((M + 1) * lead + n) + 4 * L.state
+        L.state = _chain_step(jumps, 4 * (lead + rest) + L.state, u_step)
+        c = _chain_step(counts, count_row + L.state, u_f)
+        L.s = s = first + rest
+        L.tau += n
+        L.c_rx = np.minimum(L.c_rx + c, N)
         L.next_expiry += T * exp
 
-        cnt = L.cnt_rem > 0
-        L.tau += cnt
-        L.c_rx += cnt & (u_f >= eps_f[L.state // 2]) & (L.c_rx < N)
-        L.cnt_rem -= cnt
-
-        # feedback is acted on only between rounds / at a round's last slot
-        fb = (u_r >= eps_r[L.state % 2]) & (L.cnt_rem == 0)
+        fb = u_r >= eps_r[L.state % 2]
         prog = fb & (L.c_rx > L.c_ack)
         # charge repair packets already committed within one RTT
         pend = prog & (L.next_expiry > s) & (L.next_expiry < s + k)
@@ -286,18 +315,15 @@ def _coded_rules(cfg: SimConfig, ch: CompositeChannel):
         L.c_ack = np.where(prog, L.c_rx, L.c_ack)
         done = prog & (L.c_ack == N)
         # progress schedules the next repair one RTT on; a no-progress
-        # feedback on a round's own slot schedules that round again
-        again = (prog & ~done) | (fb & ~prog & (s == L.own_obs))
+        # feedback on a round's own last slot schedules that round again
+        again = (prog & ~done) | (fb & ~prog & go)
         L.sched_start = np.where(again, s + k, L.sched_start)
         L.next_expiry = np.where(again, s + k + T, L.next_expiry)
-        idle = (L.cnt_rem == 0) & (L.c_rx == L.c_ack)
         upcoming = np.where(L.sched_start > s, L.sched_start, L.next_expiry)
-        target = np.minimum(upcoming, L.next_expiry)
-        L.adv = np.where(idle, target - s, 1)
+        L.adv = np.where(L.c_rx == L.c_ack, np.minimum(upcoming, L.next_expiry) - s, 1)
         return done
 
-    fields = ("c_rx", "c_ack", "cnt_rem", "sched_start", "own_obs", "next_expiry", "adv")
-    return fields, start, step
+    return ("c_rx", "c_ack", "sched_start", "next_expiry", "adv"), start, step
 
 
 def simulate(cfg: SimConfig) -> SimStats:

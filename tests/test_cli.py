@@ -204,6 +204,21 @@ def test_import_does_not_load_process_pool():
     assert out.stdout.strip() == "[]"
 
 
+def test_python_dash_m_gearq_runs_without_warnings(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    cfgfile, out = tmp_path / "sweep.cfg", tmp_path / "out.csv"
+    cfgfile.write_text(BASIC)
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "gearq", "sweep", "--config", str(cfgfile),
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert out.read_text().startswith(",".join(COLUMNS))
+
+
 def test_main_seed_and_tol_overrides(tmp_path):
     cfgfile = tmp_path / "sweep.cfg"
     out1 = tmp_path / "a.csv"

@@ -1,4 +1,6 @@
 """Simulator: chain statistics, exact limits, determinism, cross-checks."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from gearq.sim import (
     _chain_step,
     _draw_states,
     _jump_rows,
+    _round_rows,
+    _run_lanes,
     pooled_estimate,
     simulate,
 )
@@ -237,6 +241,124 @@ def test_coded_sim_error_free():
     assert st.slots_elapsed == 9 * 5_000
 
 
+@pytest.mark.parametrize("scheme", ["uncoded", "coded"])
+def test_error_free_run_takes_two_iterations(scheme):
+    # every lane delivers in its first step (a coded frame in one round);
+    # the 904 episodes left over run in a second step beside 3192 retired lanes
+    st = simulate(cfg(scheme, eps=0.0, horizon=5_000, batch=4096, **SCHEME_KW[scheme]))
+    assert st.iterations == 2
+    assert st.retired_lane_steps == 4096 - 904
+
+
+def brute_round_counts(P, miss, n):
+    """P(c received, landing state | round's first state), shape (s, s, n + 1).
+
+    Sums every state path of an n-packet round and every forward-bit
+    sequence on it; n = 0 lands where the round would have started.
+    """
+    s = P.shape[0]
+    out = np.zeros((s, s, n + 1))
+    if n == 0:
+        out[:, :, 0] = np.eye(s)
+        return out
+    for path in itertools.product(range(s), repeat=n):
+        p_path = np.prod([P[a, b] for a, b in zip(path, path[1:])])
+        for bits in itertools.product((0, 1), repeat=n):
+            p_bits = np.prod([1 - miss[x] if b else miss[x] for x, b in zip(path, bits)])
+            out[path[0], path[-1], sum(bits)] += p_path * p_bits
+    return out
+
+
+@pytest.mark.parametrize("h", [half(0.3), half(0.4, eg=0.1, eb=0.9)], ids=["eps_G0", "eps_G0.1"])
+def test_round_rows_match_path_enumeration(h):
+    ch = build_composite(h, h)
+    k, T, M = 5, 10, 5
+    miss = np.array([h.eps_G, h.eps_G, h.eps_B, h.eps_B])
+    leads = [np.linalg.matrix_power(ch.Pc, j) for j in range(1, k + T + 1)]
+    rows = _round_rows(np.stack(leads), ch.Pc, miss, M).reshape(k + T, M + 1, 4, 4, M + 1)
+    for n in (0, 1, M):
+        paths = brute_round_counts(ch.Pc, miss, n)
+        for adv, lead in enumerate(leads, start=1):
+            joint = np.einsum("ya,axc->yxc", lead, paths)
+            cond = joint / joint.sum(axis=-1, keepdims=True)
+            expect = np.ones((4, 4, M + 1))
+            expect[..., : n + 1] = np.cumsum(cond, axis=-1)
+            assert np.allclose(rows[adv - 1, n], expect, rtol=0, atol=1e-12), (n, adv)
+
+
+def per_slot_coded_rules(cfg, ch):
+    """The reference coded rules: one engine step per slot of a round."""
+    far = np.iinfo(np.int64).max // 4  # a slot no episode reaches
+    p = cfg.params
+    k, T, M, N = p.k, p.T, p.M, p.N
+    jumps = _jump_rows(ch.Pc, range(1, k + T + 1))
+    eps_f = np.array([ch.fwd.eps_G, ch.fwd.eps_B])
+    eps_r = np.array([ch.rev.eps_G, ch.rev.eps_B])
+
+    def start(L, idx):
+        for f in ("tau", "c_rx", "c_ack", "cnt_rem"):
+            getattr(L, f)[idx] = 0
+        L.sched_start[idx] = k
+        L.own_obs[idx] = far
+        L.next_expiry[idx] = k + T
+        L.adv[idx] = k
+
+    def step(L, u):
+        u_step, u_f, u_r = u
+        L.state = _chain_step(jumps, 4 * (L.adv - 1) + L.state, u_step)
+        L.s += L.adv
+        s = L.s
+        length = np.where(L.c_ack == 0, M, 1)
+        exp = s == L.next_expiry
+        go = exp | (s == L.sched_start)
+        L.cnt_rem = np.where(go, length, L.cnt_rem)
+        L.own_obs = np.where(go, s + length - 1, L.own_obs)
+        L.next_expiry += T * exp
+        cnt = L.cnt_rem > 0
+        L.tau += cnt
+        L.c_rx += cnt & (u_f >= eps_f[L.state // 2]) & (L.c_rx < N)
+        L.cnt_rem -= cnt
+        fb = (u_r >= eps_r[L.state % 2]) & (L.cnt_rem == 0)
+        prog = fb & (L.c_rx > L.c_ack)
+        pend = prog & (L.next_expiry > s) & (L.next_expiry < s + k)
+        L.tau += np.where(pend, np.minimum(s + k - L.next_expiry, length), 0)
+        L.c_ack = np.where(prog, L.c_rx, L.c_ack)
+        done = prog & (L.c_ack == N)
+        again = (prog & ~done) | (fb & ~prog & (s == L.own_obs))
+        L.sched_start = np.where(again, s + k, L.sched_start)
+        L.next_expiry = np.where(again, s + k + T, L.next_expiry)
+        idle = (L.cnt_rem == 0) & (L.c_rx == L.c_ack)
+        upcoming = np.where(L.sched_start > s, L.sched_start, L.next_expiry)
+        L.adv = np.where(idle, np.minimum(upcoming, L.next_expiry) - s, 1)
+        return done
+
+    fields = ("c_rx", "c_ack", "cnt_rem", "sched_start", "own_obs", "next_expiry", "adv")
+    return fields, start, step
+
+
+@pytest.mark.parametrize(
+    "h,k,T,M,N",
+    [
+        (half(0.3), 5, 10, 5, 4),
+        (half(0.4, eg=0.1, eb=0.9), 4, 9, 4, 3),
+        # T = k = M: a timer expiry can fall on a round's last slot + 1
+        (half(0.3), 3, 3, 3, 3),
+    ],
+    ids=["k5-T10-M5-N4", "eps_G0.1-k4-T9-M4-N3", "k3-T3-M3-N3"],
+)
+def test_round_step_matches_per_slot_rules(h, k, T, M, N):
+    ch = build_composite(h, h)
+    p = ProtocolParams(k=k, T=T, scheme="coded", M=M, N=N)
+    runs = {"round": [], "slot": []}
+    for seed in range(3):
+        c = SimConfig(params=p, fwd=h, rev=h, seed=seed, horizon=20_000)
+        runs["round"].append(simulate(c))
+        runs["slot"].append(_run_lanes(c, ch, *per_slot_coded_rules(c, ch)))
+    (ta, sta, da, sda), (tb, stb, db, sdb) = (pooled_estimate(r) for r in runs.values())
+    assert abs(ta - tb) <= 4 * np.hypot(sta, stb)
+    assert abs(da - db) <= 4 * np.hypot(sda, sdb)
+
+
 def test_coded_sim_matches_analysis_quick():
     eps = 0.3
     ch = symmetric_composite(0.3, 0.0, 1.0, eps)
@@ -258,8 +380,11 @@ def test_coded_sim_matches_analysis_quick():
         (half(0.4, eg=0.1, eb=0.9), 5, 12, 5, 4),
         # the corner T = k = M = N; a jump one slot short fails only here
         (half(0.3), 3, 3, 3, 3),
+        # one-slot rounds and timers, and whole-frame rounds with T = k = M
+        (half(0.4, eg=0.1, eb=0.9), 1, 1, 1, 1),
+        (half(0.4, eg=0.1, eb=0.9), 5, 5, 5, 1),
     ],
-    ids=["eps_G0.1-T12", "k3-T3-M3-N3"],
+    ids=["eps_G0.1-T12", "k3-T3-M3-N3", "eps_G0.1-k1-T1-M1-N1", "eps_G0.1-k5-T5-M5-N1"],
 )
 def test_coded_idle_jump_matches_analysis(h, k, T, M, N):
     # jumping a lane over a slot that still holds an unacknowledged DoF
