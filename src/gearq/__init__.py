@@ -5,6 +5,7 @@ slot-level Monte Carlo simulator for three retransmission schemes
 (uncoded, feedback soft combining, MDS-coded frames) over two-state
 Markov erasure channels with unreliable cumulative feedback.
 """
+import importlib
 
 from .channel import (
     CompositeChannel,
@@ -53,6 +54,12 @@ from .flowgraph import (
     graph_gain,
 )
 from .sim import SimConfig, SimStats, pooled_estimate, simulate
-from .cli import SweepConfig, parse_sweep_config, run_sweep
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):  # cli loads on first use: ``python -m gearq.cli`` runs it fresh
+    if name in ("cli", "SweepConfig", "parse_sweep_config", "run_sweep"):
+        cli = importlib.import_module(".cli", __name__)
+        return cli if name == "cli" else getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -165,15 +165,20 @@ def build_half_channel(r: float, eps_G: float, eps_B: float, eps: float) -> Half
     return HalfChannel(r=r, q=q, eps_G=eps_G, eps_B=eps_B, P=P, P0=P0, P1=P1, pi=pi, eps=eps)
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two 2-D arrays, bit for bit, without its generic set-up."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
+
+
 def joint_observation_matrices(
     fwd_P0: np.ndarray, fwd_P1: np.ndarray, rev_P0: np.ndarray, rev_P1: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Kronecker observation matrices (P00, P01, P10, P11), forward bit first."""
     return (
-        np.kron(fwd_P0, rev_P0),
-        np.kron(fwd_P0, rev_P1),
-        np.kron(fwd_P1, rev_P0),
-        np.kron(fwd_P1, rev_P1),
+        kron(fwd_P0, rev_P0),
+        kron(fwd_P0, rev_P1),
+        kron(fwd_P1, rev_P0),
+        kron(fwd_P1, rev_P1),
     )
 
 
@@ -186,7 +191,7 @@ def build_composite(fwd: HalfChannel, rev: HalfChannel) -> CompositeChannel:
     vector in force when a new packet is sent.
     """
     P00, P01, P10, P11 = joint_observation_matrices(fwd.P0, fwd.P1, rev.P0, rev.P1)
-    Pc = np.kron(fwd.P, rev.P)
+    Pc = kron(fwd.P, rev.P)
     P0x = P00 + P01
     P1x = P10 + P11
     Px0 = P00 + P10

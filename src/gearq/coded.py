@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CompositeChannel, ParameterError
+from .channel import CompositeChannel, ParameterError, kron
 from .genfunc import (
     DualMatrix,
     dual_add,
@@ -99,26 +99,26 @@ class CodedKernel:
     def start_vector(self) -> np.ndarray:
         e0 = np.zeros(self.dim // 4)
         e0[0] = 1.0
-        return np.kron(e0, self.ch.pi_I)
+        return np.outer(e0, self.ch.pi_I).ravel()
 
 
 def default_coded_kernel(ch: CompositeChannel, p: ProtocolParams) -> CodedKernel:
     """Exact kernel for the protocol semantics above."""
     N = p.N
     size = N + 1
-    F0 = np.kron(ch.fwd.P0, ch.rev.P)
-    F1 = np.kron(ch.fwd.P1, ch.rev.P)
-    F00 = np.kron(ch.fwd.P0, ch.rev.P0)
-    F01 = np.kron(ch.fwd.P0, ch.rev.P1)
-    F10 = np.kron(ch.fwd.P1, ch.rev.P0)
-    F11 = np.kron(ch.fwd.P1, ch.rev.P1)
+    F0 = kron(ch.fwd.P0, ch.rev.P)
+    F1 = kron(ch.fwd.P1, ch.rev.P)
+    F00 = kron(ch.fwd.P0, ch.rev.P0)
+    F01 = kron(ch.fwd.P0, ch.rev.P1)
+    F10 = kron(ch.fwd.P1, ch.rev.P0)
+    F11 = kron(ch.fwd.P1, ch.rev.P1)
     I_u = np.eye(size)
     K, K0, K1 = [], [], []
     for n in range(1, N + 1):
         up = _shift_up(size, N - n + 1)
-        K.append(np.kron(up, F0) + np.kron(I_u, F1))
-        K0.append(np.kron(up, F00) + np.kron(I_u, F10))
-        K1.append(np.kron(up, F01) + np.kron(I_u, F11))
+        K.append(kron(up, F0) + kron(I_u, F1))
+        K0.append(kron(up, F00) + kron(I_u, F10))
+        K1.append(kron(up, F01) + kron(I_u, F11))
     u_pos = np.zeros((size, size))
     u_pos[1:, 1:] = np.eye(size - 1)
     u_zero = np.zeros((size, size))
@@ -127,15 +127,15 @@ def default_coded_kernel(ch: CompositeChannel, p: ProtocolParams) -> CodedKernel
         ch=ch,
         N=N,
         dim=4 * size,
-        plain=np.kron(I_u, ch.Pc),
-        W0=np.kron(I_u, ch.Px0),
-        W1=np.kron(I_u, ch.Px1),
+        plain=kron(I_u, ch.Pc),
+        W0=kron(I_u, ch.Px0),
+        W1=kron(I_u, ch.Px1),
         K=tuple(K),
         K0=tuple(K0),
         K1=tuple(K1),
-        proj_up=np.kron(u_pos, np.eye(4)),
-        proj_zero=np.kron(u_zero, np.eye(4)),
-        advance=np.kron(_shift_down(size), np.eye(4)),
+        proj_up=kron(u_pos, np.eye(4)),
+        proj_zero=kron(u_zero, np.eye(4)),
+        advance=kron(_shift_down(size), np.eye(4)),
     )
 
 

@@ -13,29 +13,30 @@ transmission-time MGF z counts packet transmissions; in the delay MGF z
 counts slots.  Feedback for the packet sent in slot t arrives in slot
 t+k, so an error-free first exchange has delay k.  The recovery is one
 per-slot walk that charges delay one z per slot and transmissions one z
-per timer expiry (the pointless retransmission); a constant model closes
-it exactly over one T-slot period.
+per timer expiry (the pointless retransmission).  One blocked kernel
+steps it, values and z-derivatives stacked side by side: a constant
+model is closed exactly over one T-slot period, soft combining is
+summed as a series, 32 slots per kernel call.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
-from .channel import CompositeChannel, ParameterError
+from .channel import CompositeChannel, ParameterError, kron
 from .genfunc import (
     DualMatrix,
+    NonConvergenceError,
     dual_add,
     dual_geo,
-    dual_identity,
     dual_mul,
-    dual_sum_truncated,
     dual_term,
     scalarize,
 )
 
 SCHEMES = ("uncoded", "harq", "coded")
+_BLOCK = 32  # slots per kernel call of a series walk
 
 
 @dataclass(frozen=True)
@@ -96,77 +97,90 @@ class AttemptModel:
 
     eps_B is state B's erasure-rate sequence over the combining index
     m >= 1: a number for a constant sequence (closed exactly with
-    dual_geo), or a function of m (summed as a truncated series).  State
-    G's rate at m is min(eps_G, eps_B(m)): combining never makes state G
-    worse than its nominal rate, nor worse than state B.
+    dual_geo), or a vectorized function of m (summed as a truncated
+    series).  State G's rate at m is min(eps_G, eps_B(m)): combining
+    never makes state G worse than its nominal rate, nor worse than
+    state B.  Observations are linear in the rates (self._K: the chain
+    step into reverse state G, into B).
     """
 
     def __init__(self, ch: CompositeChannel, eps_B):
         self.ch = ch
         self.constant = not callable(eps_B)
         self.eps_B = (lambda m: eps_B) if self.constant else eps_B
-        self._fixed = self._split(1) if self.constant else None
+        self._K = [kron(ch.fwd.P, ch.rev.P * mask) for mask in ([1.0, 0.0], [0.0, 1.0])]
 
     def rates(self, m):
         """(eps_G, eps_B) of the reverse link at index m (scalar or array)."""
         eb = self.eps_B(m)
         return np.minimum(self.ch.rev.eps_G, eb), eb
 
-    def observation(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+    def observation(self, m) -> tuple[np.ndarray, np.ndarray]:
         """(Px0, Px1) at index m: the composite chain step split by the
-        reverse bit (delivered, erased); the two sum to the chain matrix."""
-        return self._fixed if self.constant else self._split(m)
-
-    def _split(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        eg, eb = self.rates(m)
-        fwd, rev = self.ch.fwd.P, self.ch.rev.P
-        return (
-            np.kron(fwd, rev @ np.diag([1.0 - eg, 1.0 - eb])),
-            np.kron(fwd, rev @ np.diag([eg, eb])),
-        )
+        reverse bit (delivered, erased), summing to the chain matrix; for
+        an array of n indices, two (n, 4, 4) stacks."""
+        KG, KB = self._K
+        eg, eb = (np.broadcast_to(x, np.shape(m))[..., None, None] for x in self.rates(m))
+        return (1.0 - eg) * KG + (1.0 - eb) * KB, eg * KG + eb * KB
 
 
-def _chain_power(ch: CompositeChannel, n: int) -> np.ndarray:
-    return np.linalg.matrix_power(ch.Pc, n)
+def _walk(att: AttemptModel, p: ProtocolParams, kind: str, z: float, j: int, n: int, wait):
+    """Slots j .. j+n-1 of the recovery walk entered with `wait`: the
+    (n, 4, 8) stack of each slot's end and the wait through the last.
+
+    Duals travel as [val | der] (4x8); both X0 (end) and X1 (wait on)
+    carry z^e(i) at slot i, so one 4x8 @ 8x16 product steps a slot.
+    """
+    i = np.arange(j, j + n)
+    e = np.ones(n) if kind == "delay" else ((i > p.d) & ((i - p.d - 1) % p.T == 0)) * 1.0
+    c, dc = (z**e)[:, None, None], (e * z ** (e - 1))[:, None, None]
+    step = np.zeros((n, 8, 16))
+    for col, X in zip((0, 8), att.observation(i)):
+        step[:, :4, col : col + 4] = step[:, 4:, col + 4 : col + 8] = c * X
+        step[:, :4, col + 4 : col + 8] = dc * X
+    out = np.empty((n, 4, 16))
+    for t in range(n):
+        wait = np.matmul(wait, step[t], out=out[t])[:, 8:]
+    return out[:, :, :8], wait
+
+
+def _stacked(s: np.ndarray) -> DualMatrix:
+    return DualMatrix(s[:, :4], s[:, 4:])
+
+
+def _walk_series(att: AttemptModel, p: ProtocolParams, kind: str, z: float):
+    """(the walk's series [val | der], its term count) by dual_sum_truncated's
+    stop rule (at p.series_tol) and its 10**6-term guard."""
+    total, j, wait = np.zeros((4, 8)), 1, np.eye(4, 8)
+    while j <= 10**6:
+        ends, wait = _walk(att, p, kind, z, j, _BLOCK, wait)
+        small = np.max(np.abs(ends), axis=(1, 2)) < p.series_tol
+        small[0] &= j > 1
+        hits = np.flatnonzero(small)
+        n = hits[0] + 1 if hits.size else _BLOCK
+        total += ends[:n].sum(axis=0)
+        if hits.size:
+            return total, int(j - 1 + n)
+        j += _BLOCK
+    raise NonConvergenceError("series did not converge in 1000000 terms")
 
 
 def _recovery_walk(att: AttemptModel, p: ProtocolParams, kind: str, z: float) -> DualMatrix:
     """Wait for a delivered cumulative feedback after the ACK was erased.
 
-    Slot j >= 1 observes att.observation(j): X0(j) ends the wait, X1(j)
-    continues it, and both carry z^e(j).  Delay counts every slot
-    (e = 1); transmission counts the pointless retransmission at each
-    timer expiry, j = d+1, d+1+T, ... (e = 1 there, 0 elsewhere).  A
-    constant model sums the first d slots, then one T-slot period closed
-    exactly with dual_geo; otherwise the per-slot series is truncated at
-    p.series_tol, the combining index running on.
+    Slot j >= 1 (the combining index) ends the walk with X0(j) and
+    continues it with X1(j), both charged z^e(j): delay counts every
+    slot, transmission each timer expiry's pointless retransmission
+    (j = d+1, d+1+T, ...).  A constant model sums the first d slots and
+    one T-slot period closed exactly with dual_geo, a varying one the
+    series of _walk_series.
     """
-    d, T = p.d, p.T
-
-    def slots(j: int):
-        """(the walk ends at slot i, it waits through slot i) for i >= j."""
-        wait = dual_identity(4)
-        while True:
-            e = 1 if kind == "delay" or (j > d and (j - d - 1) % T == 0) else 0
-            X0, X1 = att.observation(j)
-            end = dual_mul(wait, dual_term(X0, e, z))
-            wait = dual_mul(wait, dual_term(X1, e, z))
-            yield end, wait
-            j += 1
-
     if not att.constant:
-        return dual_sum_truncated((end for end, _ in slots(1)), tol=p.series_tol)
-
-    def window(j: int, n: int) -> tuple[DualMatrix, DualMatrix]:
-        """(sum of the ends at slots j .. j+n-1, the wait through them)."""
-        ends, wait = dual_term(np.zeros((4, 4)), 0), dual_identity(4)
-        for end, wait in islice(slots(j), n):
-            ends = dual_add(ends, end)
-        return ends, wait
-
-    lead_ends, lead_wait = window(1, d)
-    ends, wait = window(d + 1, T)
-    return dual_add(lead_ends, dual_mul(lead_wait, dual_mul(dual_geo(wait), ends)))
+        return _stacked(_walk_series(att, p, kind, z)[0])
+    lead, lead_wait = _walk(att, p, kind, z, 1, p.d, np.eye(4, 8))
+    period, wait = _walk(att, p, kind, z, p.d + 1, p.T, np.eye(4, 8))
+    tail = dual_mul(dual_geo(_stacked(wait)), _stacked(period.sum(axis=0)))
+    return dual_add(_stacked(lead.sum(axis=0)), dual_mul(_stacked(lead_wait), tail))
 
 
 def _arq_bracket(
@@ -191,8 +205,8 @@ def _loop_gain(ch: CompositeChannel, p: ProtocolParams, kind: str, z: float) -> 
     timer (T slots).  Transmission accounting charges one z per
     traversal; delay accounting charges the slots.
     """
-    Pk = _chain_power(ch, p.k - 1)
-    PT = _chain_power(ch, p.T - 1)
+    Pk = np.linalg.matrix_power(ch.Pc, p.k - 1)
+    PT = np.linalg.matrix_power(ch.Pc, p.T - 1)
     if kind == "tau":
         return dual_add(dual_term(ch.P10 @ Pk, 1, z), dual_term(ch.P11 @ PT, 1, z))
     return dual_add(dual_term(ch.P10 @ Pk, p.k, z), dual_term(ch.P11 @ PT, p.T, z))
@@ -214,7 +228,7 @@ def build_arq_mgf(
     """
     if kind not in ("tau", "delay"):
         raise ValueError("kind must be 'tau' or 'delay'")
-    prefix = dual_term(_chain_power(ch, p.k - 1), 1 if kind == "tau" else p.k - 1, z)
+    prefix = dual_term(np.linalg.matrix_power(ch.Pc, p.k - 1), 1 if kind == "tau" else p.k - 1, z)
     loop = dual_geo(_loop_gain(ch, p, kind, z))
     bracket = _arq_bracket(ch, p, att, kind, z)
     return dual_mul(prefix, dual_mul(loop, bracket))

@@ -71,7 +71,7 @@ class SimConfig:
 @dataclass(frozen=True)
 class SimStats:
     """Sample means with standard errors from per-packet samples; engine
-    iterations and lane-steps of retired lanes (the shared budget's tail)."""
+    iterations, retired lanes' lane-steps, the longest episode's slots."""
 
     tau_mean_hat: float
     tau_stderr: float
@@ -82,6 +82,7 @@ class SimStats:
     slots_elapsed: int
     iterations: int
     retired_lane_steps: int
+    max_episode_slots: int
 
 
 class _Moments:
@@ -93,7 +94,7 @@ class _Moments:
         self.sq_tau = 0.0
         self.sum_d = 0.0
         self.sq_d = 0.0
-        self.slots = 0
+        self.slots = self.max_slots = 0
 
     def add(self, tau: np.ndarray, delay: np.ndarray):
         self.n += tau.size
@@ -102,6 +103,7 @@ class _Moments:
         self.sum_d += float(delay.sum())
         self.sq_d += float((delay.astype(float) ** 2).sum())
         self.slots += int(delay.sum())
+        self.max_slots = max(self.max_slots, int(delay.max()))
 
     def stats(self, iterations: int, retired_lane_steps: int) -> SimStats:
         n = self.n
@@ -118,6 +120,7 @@ class _Moments:
             delivered=n,
             slots_elapsed=self.slots,
             iterations=iterations, retired_lane_steps=retired_lane_steps,
+            max_episode_slots=self.max_slots,
         )
 
 

@@ -95,18 +95,40 @@ def test_sim_stats_fields_read_by_benchmark():
     assert check["ok"] and check["worst"] == 0.0
 
 
+def check_points(schemes):
+    """perfbench's analytic checks on the r = 0.3, eps = 0.3, T = 10 point of each scheme."""
+    run = load("run")
+    reference = json.loads((PERFBENCH / "reference_seed0.json").read_text())["analytic-grid"]
+    results = []
+    for scheme in schemes:
+        pt = run.Point(scheme, 0.3, 10, 0.3)
+        cfg = run.point_config(gearq, "analytic", pt, 0)
+        text, n_err = gearq.cli.run_sweep(cfg)
+        assert n_err == 0
+        (row,) = csv.DictReader(io.StringIO(text))
+        half = build_half_channel(pt.r, run.EPS_G, run.EPS_B, pt.eps)
+        harq = scheme == "harq"
+        p = ProtocolParams(k=run.K, T=pt.T, scheme=scheme,
+                           gamma_over_rho=cfg.gamma_over_rho(pt.eps) if harq else 0.0)
+        metrics = gearq.harq_metrics if harq else gearq.uncoded_metrics
+        ana = metrics(build_composite(half, half), p)
+        results.append(run.PointResult(pt, 0, 1.0, row, ana, []))
+    checks = run.check_analytic(
+        gearq, results, {r.point.key(): reference[r.point.key()] for r in results})
+    assert [c["name"] for c in checks] == ["mgf_check", "flowgraph_oracle", "seed0_reference"]
+    assert all(c["ok"] and c["count"] > 0 for c in checks), checks
+    return checks
+
+
 def test_check_analytic_runs_on_one_uncoded_point():
     # mgf_check, the flow-graph oracle (build_uncoded_graph(ch, p, kind),
     # graph_gain, scalarize) and the seed-0 reference, on one real point
+    check_points(["uncoded"])
+
+
+def test_check_analytic_runs_on_one_harq_point():
+    # the flow-graph oracle needs the uncoded point; the seed-0 reference
+    # (1e-8) then also holds the HARQ series' values
+    checks = check_points(["uncoded", "harq"])
     run = load("run")
-    pt = run.Point("uncoded", 0.3, 10, 0.3)
-    text, n_err = gearq.cli.run_sweep(run.point_config(gearq, "analytic", pt, 0))
-    assert n_err == 0
-    (row,) = csv.DictReader(io.StringIO(text))
-    half = build_half_channel(pt.r, run.EPS_G, run.EPS_B, pt.eps)
-    ana = gearq.uncoded_metrics(build_composite(half, half), ProtocolParams(k=run.K, T=pt.T))
-    result = run.PointResult(pt, 0, 1.0, row, ana, [])
-    reference = json.loads((PERFBENCH / "reference_seed0.json").read_text())["analytic-grid"]
-    checks = run.check_analytic(gearq, [result], {pt.key(): reference[pt.key()]})
-    assert [c["name"] for c in checks] == ["mgf_check", "flowgraph_oracle", "seed0_reference"]
-    assert all(c["ok"] and c["count"] > 0 for c in checks), checks
+    assert checks[0]["count"] == 2 and checks[2]["count"] == 2 * len(run.REF_FIELDS)

@@ -8,6 +8,7 @@ from gearq.channel import (
     build_composite,
     build_half_channel,
     joint_observation_matrices,
+    kron,
     stationary_distribution,
     symmetric_composite,
 )
@@ -147,6 +148,18 @@ def test_kronecker_mixed_product_identity():
         left = np.kron(h.P0, h.P1) @ np.kron(A, B)
         right = np.kron(h.P0 @ A, h.P1 @ B)
         assert np.allclose(left, right, atol=TOL)
+
+
+@pytest.mark.parametrize(
+    "a_shape,b_shape", [((1, 1), (1, 1)), ((2, 3), (4, 5)), ((5, 5), (4, 4))],
+    ids=["1x1", "2x3-4x5", "5x5-4x4"],
+)
+def test_kron_matches_numpy_bit_for_bit(a_shape, b_shape):
+    rng = np.random.default_rng(3)
+    a, b = rng.random(a_shape), rng.random(b_shape)
+    got, ref = kron(a, b), np.kron(a, b)
+    assert got.shape == ref.shape
+    assert np.all(got == ref)
 
 
 def test_q_monotone_in_eps():

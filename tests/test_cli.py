@@ -210,13 +210,16 @@ def test_python_dash_m_gearq_runs_without_warnings(tmp_path):
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     cfgfile, out = tmp_path / "sweep.cfg", tmp_path / "out.csv"
     cfgfile.write_text(BASIC)
-    done = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "gearq", "sweep", "--config", str(cfgfile),
-         "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    assert out.read_text().startswith(",".join(COLUMNS))
+    # gearq.cli too: the package must not import it before runpy runs it
+    for module in ("gearq", "gearq.cli"):
+        out.unlink(missing_ok=True)
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", module, "sweep", "--config", str(cfgfile),
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, (module, done.stderr)
+        assert out.read_text().startswith(",".join(COLUMNS))
 
 
 def test_main_seed_and_tol_overrides(tmp_path):

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from gearq.channel import symmetric_composite
-from gearq.coded import coded_metrics, default_coded_kernel
+from gearq.coded import _shift_down, _shift_up, coded_metrics, default_coded_kernel
 from gearq.protocols import ProtocolParams, uncoded_metrics
 
 from exhaustive import enumerate_coded
@@ -46,6 +46,38 @@ def test_single_packet_kernel_reduces_to_composite():
         # start in u=0, sum over destination u
         reduced = sum(big[:4, 4 * u : 4 * (u + 1)] for u in range(kern.dim // 4))
         assert np.allclose(reduced, ref, atol=1e-12)
+
+
+@pytest.mark.parametrize("N", [1, 4])
+def test_kernel_equals_numpy_kron_build(N):
+    # every kernel array, bit for bit, against the build with np.kron
+    ch = symmetric_composite(0.3, 0.1, 0.9, 0.4)
+    kern = default_coded_kernel(ch, ProtocolParams(k=5, T=10, scheme="coded", M=5, N=N))
+    f, r = ch.fwd, ch.rev
+    I_u, I4 = np.eye(N + 1), np.eye(4)
+    ups = [_shift_up(N + 1, N - n + 1) for n in range(1, N + 1)]
+    u_pos, u_zero = np.diag([0.0] + [1.0] * N), np.diag([1.0] + [0.0] * N)
+    ref = dict(
+        plain=np.kron(I_u, ch.Pc), W0=np.kron(I_u, ch.Px0), W1=np.kron(I_u, ch.Px1),
+        K=[np.kron(up, np.kron(f.P0, r.P)) + np.kron(I_u, np.kron(f.P1, r.P)) for up in ups],
+        K0=[np.kron(up, np.kron(f.P0, r.P0)) + np.kron(I_u, np.kron(f.P1, r.P0)) for up in ups],
+        K1=[np.kron(up, np.kron(f.P0, r.P1)) + np.kron(I_u, np.kron(f.P1, r.P1)) for up in ups],
+        proj_up=np.kron(u_pos, I4), proj_zero=np.kron(u_zero, I4),
+        advance=np.kron(_shift_down(N + 1), I4),
+    )
+    for name, want in ref.items():
+        assert np.array_equal(np.array(getattr(kern, name)), np.array(want)), name
+    e0 = np.zeros(N + 1)
+    e0[0] = 1.0
+    assert np.all(kern.start_vector() == np.kron(e0, ch.pi_I))
+    assert np.all(ch.Pc == np.kron(f.P, r.P))
+    assert all(
+        np.all(got == np.kron(a, b))
+        for got, (a, b) in zip(
+            (ch.P00, ch.P01, ch.P10, ch.P11),
+            ((f.P0, r.P0), (f.P0, r.P1), (f.P1, r.P0), (f.P1, r.P1)),
+        )
+    )
 
 
 def test_kernel_observation_matrices_row_stochastic():

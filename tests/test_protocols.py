@@ -15,8 +15,10 @@ from gearq.genfunc import (
     scalarize,
 )
 from gearq.protocols import (
+    _BLOCK,
     AttemptModel,
     ProtocolParams,
+    _walk_series,
     attempt_model_for,
     build_arq_mgf,
     harq_metrics,
@@ -85,6 +87,33 @@ def test_attempt_matrices_partition_and_monotone():
             if prev is not None:
                 assert np.all(X1 <= prev + 1e-12)
             prev = X1
+
+
+@pytest.mark.parametrize("ch", [channel(0.3), LOSSY_G], ids=["eps_G0", "eps_G0.1"])
+def test_observation_matches_kronecker_formula(ch):
+    # the split by the reverse bit as it was built per index, the oracle
+    # for the stacks linear in the rates
+    fwd, rev, eps_G = ch.fwd.P, ch.rev.P, ch.rev.eps_G
+    ms = np.arange(1, 65)
+    models = [
+        (attempt_model_for(ch, ProtocolParams(k=5, T=10)), lambda m: ch.rev.eps_B),
+        (attempt_model_for(ch, harq_params(10, 3.0)), lambda m: 1.0 - np.exp(-3.0 / m)),
+        (attempt_model_for(ch, harq_params(10, 10.0)), lambda m: 1.0 - np.exp(-10.0 / m)),
+        (AttemptModel(ch, 0.0), lambda m: 0.0),
+    ]
+    for att, eps_B in models:
+        X0s, X1s = att.observation(ms)
+        assert X0s.shape == X1s.shape == (ms.size, 4, 4)
+        for m, X0, X1 in zip(ms, X0s, X1s):
+            eb = eps_B(int(m))
+            eg = min(eps_G, eb)
+            ref0 = np.kron(fwd, rev @ np.diag([1.0 - eg, 1.0 - eb]))
+            ref1 = np.kron(fwd, rev @ np.diag([eg, eb]))
+            one0, one1 = att.observation(int(m))
+            for got, ref in ((X0, ref0), (X1, ref1), (one0, ref0), (one1, ref1)):
+                assert got.shape == (4, 4)
+                assert np.max(np.abs(got - ref)) <= 1e-15
+            assert np.max(np.abs(X0 + X1 - ch.Pc)) <= 1e-15
 
 
 def test_harq_constant_equals_uncoded():
@@ -247,14 +276,14 @@ def test_harq_matches_exhaustive_enumeration(eps, T, eps_G, eps_B):
     assert e_delay == pytest.approx(m.delay_mean, abs=2e-7)
 
 
-def reference_arq_mgf(ch, p, att, kind, z):
+def reference_arq_mgf(ch, p, att, kind, z, terms=None):
     """The ARQ MGF with the recovery built the older way, two constructions.
 
     tau: a d-slot pre-sum, then T-slot windows each entered by a
     pointless retransmission that costs one z (closed with dual_geo for
     a constant model, a series over windows otherwise).  delay: the
     per-slot series z^j (prod X1) X0, closed with dual_geo for a
-    constant model.
+    constant model; `terms` gets the index of each of its terms summed.
     """
 
     def presum(budget, base):
@@ -299,6 +328,8 @@ def reference_arq_mgf(ch, p, att, kind, z):
                 prefix, j = dual_identity(4), 1
                 while True:
                     X0, X1 = att.observation(j)
+                    if terms is not None:
+                        terms.append(j)
                     yield dual_mul(prefix, dual_term(X0, 0, z))
                     prefix = dual_mul(prefix, dual_term(X1, 1, z))
                     j += 1
@@ -331,6 +362,23 @@ def test_recovery_walk_matches_reference_constructions(k, T):
                     for a, b in ((got.val, ref.val), (got.der, ref.der)):
                         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), (
                             scheme, eps, kind, z)
+
+
+def test_walk_series_matches_reference_past_one_block():
+    # a slowly mixing channel with strong combining: the delay series runs
+    # past one block and stops at the reference's term
+    ch = symmetric_composite(0.01, 0.0, 1.0, 0.3)
+    p = harq_params(10, 30.0)
+    att = attempt_model_for(ch, p)
+    for kind in ("tau", "delay"):
+        for z in (1.0, 0.99):
+            terms = []
+            got = build_arq_mgf(ch, p, att, kind, z)
+            ref = reference_arq_mgf(ch, p, att, kind, z, terms)
+            for a, b in ((got.val, ref.val), (got.der, ref.der)):
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), (kind, z)
+            if kind == "delay":
+                assert _walk_series(att, p, kind, z)[1] == terms[-1] > _BLOCK
 
 
 def test_all_erased_feedback_never_converges():

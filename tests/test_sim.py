@@ -250,6 +250,15 @@ def test_error_free_run_takes_two_iterations(scheme):
     assert st.retired_lane_steps == 4096 - 904
 
 
+@pytest.mark.parametrize("scheme,slots", [("uncoded", 5), ("coded", 5 + 5 - 1)])
+def test_error_free_longest_episode(scheme, slots):
+    # k slots to the feedback, after the frame's M - 1 further packets if coded
+    st = simulate(cfg(scheme, eps=0.0, horizon=5_000, **SCHEME_KW[scheme]))
+    assert st.max_episode_slots == slots
+    lossy = simulate(cfg(scheme, eps=0.3, horizon=5_000, **SCHEME_KW[scheme]))
+    assert lossy.max_episode_slots > lossy.delay_mean_hat > slots
+
+
 def brute_round_counts(P, miss, n):
     """P(c received, landing state | round's first state), shape (s, s, n + 1).
 
