@@ -126,33 +126,30 @@ def _fmt(x) -> str:
     return format(float(x), ".12g")
 
 
+def _params(cfg: SweepConfig, scheme: str, eps: float, T: int) -> ProtocolParams:
+    """The grid point's protocol: harq combines at gamma/rho(eps), coded
+    frames are M packets of which N decode."""
+    if scheme == "coded":
+        return ProtocolParams(k=cfg.k, T=T, scheme=scheme, M=cfg.M, N=cfg.N, series_tol=cfg.tol)
+    g = cfg.gamma_over_rho(eps) if scheme == "harq" else 0.0
+    return ProtocolParams(k=cfg.k, T=T, scheme=scheme, gamma_over_rho=g, series_tol=cfg.tol)
+
+
 def _analytic_point(cfg: SweepConfig, scheme: str, eps: float, T: int) -> Metrics:
     half = build_half_channel(cfg.r, cfg.eps_G, cfg.eps_B, eps)
     ch = build_composite(half, half)
+    p = _params(cfg, scheme, eps, T)
     if scheme == "uncoded":
-        return uncoded_metrics(ch, ProtocolParams(k=cfg.k, T=T, scheme="uncoded", series_tol=cfg.tol))
+        return uncoded_metrics(ch, p)
     if scheme == "harq":
-        p = ProtocolParams(
-            k=cfg.k, T=T, scheme="harq",
-            gamma_over_rho=cfg.gamma_over_rho(eps), series_tol=cfg.tol,
-        )
         return harq_metrics(ch, p)
-    p = ProtocolParams(k=cfg.k, T=T, scheme="coded", M=cfg.M, N=cfg.N, series_tol=cfg.tol)
     return coded_metrics(ch, p)
 
 
 def _sim_point(cfg: SweepConfig, scheme: str, eps: float, T: int):
     """Pooled per-packet estimates over the configured seeds."""
     half = build_half_channel(cfg.r, cfg.eps_G, cfg.eps_B, eps)
-    if scheme == "coded":
-        p = ProtocolParams(k=cfg.k, T=T, scheme="coded", M=cfg.M, N=cfg.N, series_tol=cfg.tol)
-    elif scheme == "harq":
-        p = ProtocolParams(
-            k=cfg.k, T=T, scheme="harq",
-            gamma_over_rho=cfg.gamma_over_rho(eps), series_tol=cfg.tol,
-        )
-    else:
-        p = ProtocolParams(k=cfg.k, T=T, scheme="uncoded", series_tol=cfg.tol)
+    p = _params(cfg, scheme, eps, T)
     stats = [
         simulate(SimConfig(params=p, fwd=half, rev=half, seed=s, horizon=cfg.horizon))
         for s in cfg.seeds

@@ -22,9 +22,10 @@ the coded lane rules of sim.py, which are normative):
 The analytic kernel runs on the product space (chain state, u) where
 u = received-but-unacknowledged degrees of freedom, so round outcomes,
 multi-acks and repair pipelining are carried exactly; stage n (the n-th
-acknowledgment) advances by consuming one unit of u.  Transmission-time
-MGFs attach z to every transmitted packet; delay MGFs attach z to every
-slot.
+acknowledgment) advances by consuming one unit of u.  Every branch gain
+states the packets it transmits and the slots it takes; the
+transmission-time MGF lets z count the packets, the delay MGF the slots
+(protocols.Accounting).
 """
 from __future__ import annotations
 
@@ -40,9 +41,8 @@ from .genfunc import (
     dual_identity,
     dual_mul,
     dual_sum_truncated,
-    dual_term,
 )
-from .protocols import Metrics, ProtocolParams, _metrics_from_mgfs
+from .protocols import Accounting, Metrics, ProtocolParams, _metrics_from_mgfs
 
 
 def _shift_up(size: int, cap: int) -> np.ndarray:
@@ -67,11 +67,13 @@ class CodedKernel:
     """Stage matrices of the coded scheme on the (chain, u) product space.
 
     For stage n (1-based), cap_n = N - n + 1 receptions remain useful.
-    K steps transmit one packet (u may rise), W steps only observe
+    K0/K1 steps transmit one packet (u may rise) and split by the reverse
+    bit, their sum being the unobserved step; W0/W1 steps only observe
     feedback.  The classified observation matrices P_C(n, x, y) split a
     stage's decisive step by forward outcome x (0: the needed DoF is
     available afterwards, i.e. u >= 1) and reverse outcome y; their sum
-    over xy is row stochastic.
+    over xy is row stochastic.  advance consumes one unit of u (an
+    acknowledgment).
     """
 
     ch: CompositeChannel
@@ -80,16 +82,11 @@ class CodedKernel:
     plain: np.ndarray
     W0: np.ndarray
     W1: np.ndarray
-    K: tuple[np.ndarray, ...]
     K0: tuple[np.ndarray, ...]
     K1: tuple[np.ndarray, ...]
     proj_up: np.ndarray
     proj_zero: np.ndarray
     advance: np.ndarray
-
-    def P_A(self, n: int) -> np.ndarray:
-        """Stage-advance gain: identity at 0, one u-consumption after that."""
-        return np.eye(self.dim) if n == 0 else self.advance
 
     def P_C(self, n: int, x: int, y: int) -> np.ndarray:
         Ky = (self.K0, self.K1)[y][n - 1]
@@ -106,17 +103,14 @@ def default_coded_kernel(ch: CompositeChannel, p: ProtocolParams) -> CodedKernel
     """Exact kernel for the protocol semantics above."""
     N = p.N
     size = N + 1
-    F0 = kron(ch.fwd.P0, ch.rev.P)
-    F1 = kron(ch.fwd.P1, ch.rev.P)
     F00 = kron(ch.fwd.P0, ch.rev.P0)
     F01 = kron(ch.fwd.P0, ch.rev.P1)
     F10 = kron(ch.fwd.P1, ch.rev.P0)
     F11 = kron(ch.fwd.P1, ch.rev.P1)
     I_u = np.eye(size)
-    K, K0, K1 = [], [], []
+    K0, K1 = [], []
     for n in range(1, N + 1):
         up = _shift_up(size, N - n + 1)
-        K.append(kron(up, F0) + kron(I_u, F1))
         K0.append(kron(up, F00) + kron(I_u, F10))
         K1.append(kron(up, F01) + kron(I_u, F11))
     u_pos = np.zeros((size, size))
@@ -130,7 +124,6 @@ def default_coded_kernel(ch: CompositeChannel, p: ProtocolParams) -> CodedKernel
         plain=kron(I_u, ch.Pc),
         W0=kron(I_u, ch.Px0),
         W1=kron(I_u, ch.Px1),
-        K=tuple(K),
         K0=tuple(K0),
         K1=tuple(K1),
         proj_up=kron(u_pos, np.eye(4)),
@@ -139,27 +132,28 @@ def default_coded_kernel(ch: CompositeChannel, p: ProtocolParams) -> CodedKernel
     )
 
 
-def _in_flight(offset: int, k: int, T: int, round_len: int) -> int:
-    """Packets scheduled within the RTT after an acknowledgment at `offset`.
+def _in_flight(k: int, T: int, round_len: int) -> list[int]:
+    """Packets scheduled within the RTT after an acknowledgment acting at
+    offset o, indexed by (o - 1) % T: repair rounds repeat every T slots.
 
     A feedback acting at shifted offset o is received k slots after its
     pairing slot, so repair packets with slots in (o, o+k) have already
     been committed when the sender learns of the acknowledgment.  They
     are charged to the transmission count; their payload is superseded.
     """
-    return sum(
-        1 for o2 in range(offset + 1, offset + k) if (o2 - 1) % T >= T - round_len
-    )
+    return [
+        sum(1 for o2 in range(o + 1, o + k) if (o2 - 1) % T >= T - round_len)
+        for o in range(1, T + 1)
+    ]
 
 
 def _recovery_walk(
     kern: CodedKernel,
     stage: int,
     round_len: int,
-    k: int,
     T: int,
-    kind: str,
-    z: float,
+    flight: list[int],
+    acc: Accounting,
     tol: float,
 ) -> DualMatrix:
     """Wait for a delivered feedback after stage `stage`'s DoF arrived unacked.
@@ -167,30 +161,29 @@ def _recovery_walk(
     Repair rounds of round_len packets are inserted every T slots (the
     timer runs from the previous round's first slot); the sender acts on
     feedback only between rounds and at a round's final slot, so
-    mid-round offsets are forward-only steps.  Any acted-on delivered
-    feedback ends the walk with the acknowledgment, plus the
-    transmission charge for repairs already in flight.
+    mid-round offsets are forward-only steps.  Every offset takes one
+    slot, and a round's slots send one packet each.  Any acted-on
+    delivered feedback ends the walk with the acknowledgment, plus the
+    repairs already in flight (the table `flight` of _in_flight).
     """
-    slot = kind == "delay"
     K0 = kern.K0[stage - 1]
     K1 = kern.K1[stage - 1]
-    Km = kern.K[stage - 1]
+    Km = K0 + K1
 
     def steps():
         prefix = dual_identity(kern.dim)
         o = 1
         while True:
-            pos = (o - 1) % T - (T - round_len)
+            r = (o - 1) % T
+            pos = r - (T - round_len)
             if 0 <= pos < round_len - 1:
                 # mid-round packet slot: transmit, feedback not acted on
-                prefix = dual_mul(prefix, dual_term(Km, 1, z))
+                prefix = dual_mul(prefix, acc.term(Km, 1, 1))
             else:
-                boundary = pos == round_len - 1
-                x0, x1 = (K0, K1) if boundary else (kern.W0, kern.W1)
-                z_step = 1 if (slot or boundary) else 0
-                z_exit = z_step + (_in_flight(o, k, T, round_len) if kind == "tau" else 0)
-                yield dual_mul(prefix, dual_term(x0, z_exit, z))
-                prefix = dual_mul(prefix, dual_term(x1, z_step, z))
+                sent = int(pos == round_len - 1)  # a round's last packet, or a wait
+                x0, x1 = (K0, K1) if sent else (kern.W0, kern.W1)
+                yield dual_mul(prefix, acc.term(x0, sent + flight[r], 1))
+                prefix = dual_mul(prefix, acc.term(x1, sent, 1))
             o += 1
 
     return dual_sum_truncated(steps(), tol=tol)
@@ -204,11 +197,9 @@ def build_coded_mgf(
     z: float = 1.0,
 ) -> DualMatrix:
     """Matrix MGF of the coded frame (kind 'tau': packets, 'delay': slots)."""
-    if kind not in ("tau", "delay"):
-        raise ValueError("kind must be 'tau' or 'delay'")
+    acc = Accounting(kind, z)
     kern = default_coded_kernel(ch, p) if kernel is None else kernel
     k, T, M, N = p.k, p.T, p.M, p.N
-    slot = kind == "delay"
 
     Pk1 = np.linalg.matrix_power(kern.plain, k - 1)
 
@@ -217,33 +208,30 @@ def build_coded_mgf(
         L-1 packets precede the decisive step (the L-th), the round repeats
         while nothing is acknowledged, then an ACK or the recovery walk."""
         obs = {(x, y): kern.P_C(n, x, y) for x in (0, 1) for y in (0, 1)}
-        KL1 = np.linalg.matrix_power(kern.K[n - 1], L - 1)
+        KL1 = np.linalg.matrix_power(kern.K0[n - 1] + kern.K1[n - 1], L - 1)
         loop = dual_add(
-            dual_term(obs[(1, 0)] @ Pk1 @ KL1, (k + L - 1) if slot else L, z),
-            dual_term(
-                obs[(1, 1)] @ np.linalg.matrix_power(kern.plain, T - L) @ KL1,
-                T if slot else L,
-                z,
-            ),
+            acc.term(obs[(1, 0)] @ Pk1 @ KL1, L, k + L - 1),
+            acc.term(obs[(1, 1)] @ np.linalg.matrix_power(kern.plain, T - L) @ KL1, L, T),
         )
-        ack_z = 1 + (0 if slot else _in_flight(0, k, T, L))
+        # the round's own feedback acts at offset 0, entry T - 1 of the table
+        flight = _in_flight(k, T, L)
         exits = dual_add(
-            dual_term(obs[(0, 0)], ack_z, z),
+            acc.term(obs[(0, 0)], 1 + flight[-1], 1),
             dual_mul(
-                dual_term(obs[(0, 1)], 1, z),
-                _recovery_walk(kern, n, L, k, T, kind, z, p.series_tol),
+                acc.term(obs[(0, 1)], 1, 1),
+                _recovery_walk(kern, n, L, T, flight, acc, p.series_tol),
             ),
         )
-        send = dual_mul(dual_term(Pk1, (k - 1) if slot else 0, z), dual_term(KL1, L - 1, z))
+        send = dual_mul(acc.term(Pk1, 0, k - 1), acc.term(KL1, L - 1, L - 1))
         return dual_mul(send, dual_mul(dual_geo(loop), exits))
 
     # stage(1, M): the frame goes out whole; a later stage either holds its
     # DoF already (proj_up) or sends single-packet repair rounds
     phi = stage(1, M)
     for n in range(2, N + 1):
-        repair = dual_mul(dual_term(kern.proj_zero, 0, z), stage(n, 1))
+        repair = dual_mul(acc.term(kern.proj_zero, 0, 0), stage(n, 1))
         factor = dual_mul(
-            dual_term(kern.P_A(n - 1), 0, z), dual_add(dual_term(kern.proj_up, 0, z), repair)
+            acc.term(kern.advance, 0, 0), dual_add(acc.term(kern.proj_up, 0, 0), repair)
         )
         phi = dual_mul(phi, factor)
     return phi

@@ -6,14 +6,16 @@ rewires every predecessor-successor pair through gain(p->n) *
 (I - selfloop(n))^-1 * gain(n->s), merging parallel branches by
 addition.  Repeated elimination reduces the graph to the single
 input -> output gain, an independent construction of the protocol MGFs.
+Each branch gain states the packets it transmits and the slots it takes;
+the MGF's kind picks which of the two z counts (protocols.Accounting).
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .channel import CompositeChannel
-from .genfunc import DualMatrix, dual_add, dual_geo, dual_mul, dual_term
-from .protocols import ProtocolParams
+from .genfunc import DualMatrix, dual_add, dual_geo, dual_mul
+from .protocols import Accounting, ProtocolParams
 
 
 class GraphError(ValueError):
@@ -135,43 +137,38 @@ def build_uncoded_graph(
     retransmissions repeat every T slots until some cumulative feedback
     gets through.  O: ACK received.
 
-    kind "tau" dresses branches with z per transmission, "delay" with z
-    per slot; both reduce to the closed-form MGFs.
+    Every branch takes (packets, slots): the first transmission and its
+    wait (1, k-1), a NACK (0, k-1) or timeout (0, T-1) and the
+    retransmission (1, 1), an ACK (0, 1); recovery slots take one slot
+    each, and every timer expiry in C sends one packet.  kind "tau"
+    counts the packets, "delay" the slots; both reduce to the
+    closed-form MGFs.
     """
-    if kind not in ("tau", "delay"):
-        raise ValueError("kind must be 'tau' or 'delay'")
+    acc = Accounting(kind, z)
     k, T, d = p.k, p.T, p.d
     Pk = np.linalg.matrix_power(ch.Pc, k - 1)
     PT = np.linalg.matrix_power(ch.Pc, T - 1)
-    slot = kind == "delay"
-
-    def zp(n: int) -> int:
-        return n if slot else 0
 
     g = FlowGraph("I", "O")
-    g.add_branch("I", "A", dual_term(Pk, k - 1 if slot else 1, z), "P^{k-1}")
+    g.add_branch("I", "A", acc.term(Pk, 1, k - 1), "P^{k-1}")
 
-    nack = dual_add(
-        dual_term(ch.P10 @ Pk, zp(k - 1), z), dual_term(ch.P11 @ PT, zp(T - 1), z)
-    )
+    nack = dual_add(acc.term(ch.P10 @ Pk, 0, k - 1), acc.term(ch.P11 @ PT, 0, T - 1))
     g.add_branch("A", "B", nack, "P10 P^{k-1} + P11 P^{T-1}")
-    g.add_branch("B", "A", dual_term(np.eye(4), zp(1) if slot else 1, z), "retx")
+    g.add_branch("B", "A", acc.term(np.eye(4), 1, 1), "retx")
 
-    ack = dual_term(ch.P00, zp(1), z)
+    ack = acc.term(ch.P00, 0, 1)
     run = np.eye(4)
     for j in range(d):
-        ack = dual_add(ack, dual_term(ch.P01 @ run @ ch.Px0, zp(2 + j), z))
+        ack = dual_add(ack, acc.term(ch.P01 @ run @ ch.Px0, 0, 2 + j))
         run = run @ ch.Px1
     g.add_branch("A", "O", ack, "ACK / early recovery")
 
-    g.add_branch("A", "C", dual_term(ch.P01 @ run, zp(1 + d), z), "P01 Px1^d")
-    g.add_branch(
-        "C", "C", dual_term(np.linalg.matrix_power(ch.Px1, T), T if slot else 1, z), "Px1^T"
-    )
+    g.add_branch("A", "C", acc.term(ch.P01 @ run, 0, 1 + d), "P01 Px1^d")
+    g.add_branch("C", "C", acc.term(np.linalg.matrix_power(ch.Px1, T), 1, T), "Px1^T")
     run = np.eye(4)
     escape = None
     for j in range(T):
-        term = dual_term(run @ ch.Px0, zp(j + 1) if slot else 1, z)
+        term = acc.term(run @ ch.Px0, 1, j + 1)
         escape = term if escape is None else dual_add(escape, term)
         run = run @ ch.Px1
     g.add_branch("C", "O", escape, "late recovery")

@@ -8,15 +8,16 @@ feedback.  The recovery draws its reverse erasure rates from one
 AttemptModel: the uncoded scheme is its constant sequence at the nominal
 rate, soft combining a rate that falls with the combining index.
 
-Both MGFs are one construction; only the z-powers differ.  In the
-transmission-time MGF z counts packet transmissions; in the delay MGF z
-counts slots.  Feedback for the packet sent in slot t arrives in slot
-t+k, so an error-free first exchange has delay k.  The recovery is one
-per-slot walk that charges delay one z per slot and transmissions one z
-per timer expiry (the pointless retransmission).  One blocked kernel
-steps it, values and z-derivatives stacked side by side: a constant
-model is closed exactly over one T-slot period, soft combining is
-summed as a series, 32 slots per kernel call.
+Both MGFs are one construction.  Every branch gain states how many
+packets it transmits and how many slots it takes; Accounting, built once
+per MGF, lets z count the packets (the transmission-time MGF, kind
+"tau") or the slots (the delay MGF, kind "delay").  Feedback for the
+packet sent in slot t arrives in slot t+k, so an error-free first
+exchange has delay k.  The recovery is one per-slot walk: each slot
+takes one slot, and each timer expiry sends one packet (the pointless
+retransmission).  One blocked kernel steps it, values and z-derivatives
+stacked side by side: a constant model is closed exactly over one T-slot
+period, soft combining is summed as a series, 32 slots per kernel call.
 """
 from __future__ import annotations
 
@@ -92,6 +93,30 @@ class Metrics:
     mgf_err_delay: float
 
 
+@dataclass(frozen=True)
+class Accounting:
+    """What z counts in one MGF: packets for kind "tau", slots for "delay".
+
+    Every branch gain states both its packet count and its slot count;
+    this is the one place that picks between them.
+    """
+
+    kind: str
+    z: float = 1.0
+
+    def __post_init__(self):
+        if self.kind not in ("tau", "delay"):
+            raise ValueError("kind must be 'tau' or 'delay'")
+
+    def power(self, packets, slots):
+        """The z-power of a branch; numbers, or arrays of per-slot counts."""
+        return slots if self.kind == "delay" else packets
+
+    def term(self, coeff: np.ndarray, packets: int, slots: int) -> DualMatrix:
+        """Branch gain coeff * z**power(packets, slots) as a dual."""
+        return dual_term(coeff, self.power(packets, slots), self.z)
+
+
 class AttemptModel:
     """Reverse-link erasure rates along the combining index, as chain matrices.
 
@@ -124,15 +149,17 @@ class AttemptModel:
         return (1.0 - eg) * KG + (1.0 - eb) * KB, eg * KG + eb * KB
 
 
-def _walk(att: AttemptModel, p: ProtocolParams, kind: str, z: float, j: int, n: int, wait):
+def _walk(att: AttemptModel, p: ProtocolParams, acc: Accounting, j: int, n: int, wait):
     """Slots j .. j+n-1 of the recovery walk entered with `wait`: the
     (n, 4, 8) stack of each slot's end and the wait through the last.
 
     Duals travel as [val | der] (4x8); both X0 (end) and X1 (wait on)
-    carry z^e(i) at slot i, so one 4x8 @ 8x16 product steps a slot.
+    carry z^e(i) at slot i, e(i) its count (one slot; one packet at each
+    timer expiry), so one 4x8 @ 8x16 product steps a slot.
     """
     i = np.arange(j, j + n)
-    e = np.ones(n) if kind == "delay" else ((i > p.d) & ((i - p.d - 1) % p.T == 0)) * 1.0
+    expiry = (i > p.d) & ((i - p.d - 1) % p.T == 0)
+    e, z = acc.power(expiry * 1.0, np.ones(n)), acc.z
     c, dc = (z**e)[:, None, None], (e * z ** (e - 1))[:, None, None]
     step = np.zeros((n, 8, 16))
     for col, X in zip((0, 8), att.observation(i)):
@@ -148,12 +175,12 @@ def _stacked(s: np.ndarray) -> DualMatrix:
     return DualMatrix(s[:, :4], s[:, 4:])
 
 
-def _walk_series(att: AttemptModel, p: ProtocolParams, kind: str, z: float):
+def _walk_series(att: AttemptModel, p: ProtocolParams, acc: Accounting):
     """(the walk's series [val | der], its term count) by dual_sum_truncated's
     stop rule (at p.series_tol) and its 10**6-term guard."""
     total, j, wait = np.zeros((4, 8)), 1, np.eye(4, 8)
     while j <= 10**6:
-        ends, wait = _walk(att, p, kind, z, j, _BLOCK, wait)
+        ends, wait = _walk(att, p, acc, j, _BLOCK, wait)
         small = np.max(np.abs(ends), axis=(1, 2)) < p.series_tol
         small[0] &= j > 1
         hits = np.flatnonzero(small)
@@ -165,51 +192,47 @@ def _walk_series(att: AttemptModel, p: ProtocolParams, kind: str, z: float):
     raise NonConvergenceError("series did not converge in 1000000 terms")
 
 
-def _recovery_walk(att: AttemptModel, p: ProtocolParams, kind: str, z: float) -> DualMatrix:
+def _recovery_walk(att: AttemptModel, p: ProtocolParams, acc: Accounting) -> DualMatrix:
     """Wait for a delivered cumulative feedback after the ACK was erased.
 
     Slot j >= 1 (the combining index) ends the walk with X0(j) and
-    continues it with X1(j), both charged z^e(j): delay counts every
-    slot, transmission each timer expiry's pointless retransmission
-    (j = d+1, d+1+T, ...).  A constant model sums the first d slots and
-    one T-slot period closed exactly with dual_geo, a varying one the
-    series of _walk_series.
+    continues it with X1(j), both charged z^e(j): every slot takes one
+    slot, and each timer expiry (j = d+1, d+1+T, ...) sends one
+    pointless retransmission.  A constant model sums the first d slots
+    and one T-slot period closed exactly with dual_geo, a varying one
+    the series of _walk_series.
     """
     if not att.constant:
-        return _stacked(_walk_series(att, p, kind, z)[0])
-    lead, lead_wait = _walk(att, p, kind, z, 1, p.d, np.eye(4, 8))
-    period, wait = _walk(att, p, kind, z, p.d + 1, p.T, np.eye(4, 8))
+        return _stacked(_walk_series(att, p, acc)[0])
+    lead, lead_wait = _walk(att, p, acc, 1, p.d, np.eye(4, 8))
+    period, wait = _walk(att, p, acc, p.d + 1, p.T, np.eye(4, 8))
     tail = dual_mul(dual_geo(_stacked(wait)), _stacked(period.sum(axis=0)))
     return dual_add(_stacked(lead.sum(axis=0)), dual_mul(_stacked(lead_wait), tail))
 
 
 def _arq_bracket(
-    ch: CompositeChannel, p: ProtocolParams, att: AttemptModel, kind: str, z: float
+    ch: CompositeChannel, p: ProtocolParams, att: AttemptModel, acc: Accounting
 ) -> DualMatrix:
     """Feedback-resolution branch after a delivered packet: ACK, or recovery.
 
-    P00 z^s + P01 z^s walk, where s = 1 (the feedback slot) for delay and
-    0 for transmissions.  The one recovery walk charges delay one z per
-    slot and transmissions one z per timer expiry, and closes a constant
-    model over one T-slot period.
+    P00 + P01 walk, each feedback branch taking the feedback slot and no
+    packet.  The recovery walk closes a constant model over one T-slot
+    period.
     """
-    s = 1 if kind == "delay" else 0
-    head = dual_term(ch.P00, s, z)
-    return dual_add(head, dual_mul(dual_term(ch.P01, s, z), _recovery_walk(att, p, kind, z)))
+    head = acc.term(ch.P00, 0, 1)
+    return dual_add(head, dual_mul(acc.term(ch.P01, 0, 1), _recovery_walk(att, p, acc)))
 
 
-def _loop_gain(ch: CompositeChannel, p: ProtocolParams, kind: str, z: float) -> DualMatrix:
+def _loop_gain(
+    ch: CompositeChannel, p: ProtocolParams, acc: Accounting, Pk: np.ndarray, PT: np.ndarray
+) -> DualMatrix:
     """One traversal of the lost-packet retransmission loop.
 
     A delivered NACK re-sends after k slots, an erased one waits for the
-    timer (T slots).  Transmission accounting charges one z per
-    traversal; delay accounting charges the slots.
+    timer (T slots); either way one packet is sent again.  Pk and PT are
+    Pc^(k-1) and Pc^(T-1).
     """
-    Pk = np.linalg.matrix_power(ch.Pc, p.k - 1)
-    PT = np.linalg.matrix_power(ch.Pc, p.T - 1)
-    if kind == "tau":
-        return dual_add(dual_term(ch.P10 @ Pk, 1, z), dual_term(ch.P11 @ PT, 1, z))
-    return dual_add(dual_term(ch.P10 @ Pk, p.k, z), dual_term(ch.P11 @ PT, p.T, z))
+    return dual_add(acc.term(ch.P10 @ Pk, 1, p.k), acc.term(ch.P11 @ PT, 1, p.T))
 
 
 def build_arq_mgf(
@@ -226,11 +249,13 @@ def build_arq_mgf(
     packet's own feedback sees the nominal channel; `att` governs the
     recovery by cumulative feedback after an erased acknowledgment.
     """
-    if kind not in ("tau", "delay"):
-        raise ValueError("kind must be 'tau' or 'delay'")
-    prefix = dual_term(np.linalg.matrix_power(ch.Pc, p.k - 1), 1 if kind == "tau" else p.k - 1, z)
-    loop = dual_geo(_loop_gain(ch, p, kind, z))
-    bracket = _arq_bracket(ch, p, att, kind, z)
+    acc = Accounting(kind, z)
+    Pk = np.linalg.matrix_power(ch.Pc, p.k - 1)
+    PT = np.linalg.matrix_power(ch.Pc, p.T - 1)
+    # the first transmission, then k - 1 slots to its feedback
+    prefix = acc.term(Pk, 1, p.k - 1)
+    loop = dual_geo(_loop_gain(ch, p, acc, Pk, PT))
+    bracket = _arq_bracket(ch, p, att, acc)
     return dual_mul(prefix, dual_mul(loop, bracket))
 
 

@@ -22,9 +22,9 @@ timer expiry.
 
 Episode start states are drawn from the new-packet vector pi_I (the
 distribution the analysis assigns to the slot a fresh packet enters
-service), or from the stationary vector with init_mode="stationary".
-Lanes share the episode budget, and the seed fully determines every
-estimate.
+service).  One sampler draws every state (_chain_step, on cumulative
+rows), and one builder gives every power of the chain (_powers).  Lanes
+share the episode budget, and the seed fully determines every estimate.
 """
 from __future__ import annotations
 
@@ -56,7 +56,6 @@ class SimConfig:
     rev: HalfChannel
     seed: int
     horizon: int = 100_000
-    init_mode: str = "model"
     batch: int = 4096
 
     def __post_init__(self):
@@ -64,8 +63,6 @@ class SimConfig:
             raise ValueError("horizon must be >= 1000 for usable statistics")
         if self.batch < 1:
             raise ValueError("batch must be >= 1")
-        if self.init_mode not in ("model", "stationary"):
-            raise ValueError("init_mode must be 'model' or 'stationary'")
 
 
 @dataclass(frozen=True)
@@ -124,20 +121,14 @@ class _Moments:
         )
 
 
-def _draw_states(rng, dist: np.ndarray, count: int) -> np.ndarray:
-    cum = np.cumsum(dist / dist.sum())
-    return np.minimum((rng.random(count)[:, None] >= cum).sum(axis=1), dist.size - 1)
+def _powers(P: np.ndarray, n: int) -> np.ndarray:
+    """P^1 .. P^n stacked, each the one before it times P.
 
-
-def _jump_rows(P: np.ndarray, lengths) -> np.ndarray:
-    """Cumulative rows of P^j for each j in lengths, stacked.
-
-    Row i * n + state of the result is row `state` of P^lengths[i], for
-    an n-state P.
+    np.cumsum(_powers(P, n), axis=2).reshape(-1, s) are the cumulative
+    rows _chain_step inverts: row (j - 1) * s + state is row `state` of
+    P^j, for an s-state P.
     """
-    return np.concatenate(
-        [np.cumsum(np.linalg.matrix_power(P, j), axis=1) for j in lengths]
-    )
+    return np.stack(list(accumulate([P] * n, np.matmul)))
 
 
 def _round_rows(leads: np.ndarray, P: np.ndarray, miss: np.ndarray, M: int) -> np.ndarray:
@@ -188,14 +179,14 @@ def _run_lanes(cfg: SimConfig, ch: CompositeChannel, fields, start, step) -> Sim
     need no mask of active lanes.
     """
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    init = ch.pi_I if cfg.init_mode == "model" else ch.pi_c
+    init = np.cumsum(ch.pi_I / ch.pi_I.sum())[None]  # one cumulative row
     B = min(cfg.batch, cfg.horizon)
     L = SimpleNamespace(
         **{f: np.zeros(B, dtype=np.int64) for f in ("state", "s", "tau", *fields)}
     )
 
     def begin(idx):
-        L.state[idx] = _draw_states(rng, init, idx.size)
+        L.state[idx] = _chain_step(init, np.zeros_like(idx), rng.random(idx.size))
         L.s[idx] = 0
         start(L, idx)
 
@@ -225,7 +216,7 @@ def _arq_rules(cfg: SimConfig, ch: CompositeChannel):
     k, T, d = p.k, p.T, p.d
     att = attempt_model_for(ch, p)
     legs = np.array([1, k, T])
-    jumps = _jump_rows(ch.Pc, legs)
+    jumps = np.cumsum(_powers(ch.Pc, T)[legs - 1], axis=2).reshape(-1, 4)
     eps_f = np.array([ch.fwd.eps_G, ch.fwd.eps_B])
     eps_r = np.array([ch.rev.eps_G, ch.rev.eps_B])
 
@@ -281,7 +272,7 @@ def _coded_rules(cfg: SimConfig, ch: CompositeChannel):
     p = cfg.params
     k, T, M, N = p.k, p.T, p.M, p.N
     # Pc^1 .. Pc^(k+T+M-1): the timer never expires more than k + T slots ahead
-    powers = np.stack(list(accumulate([ch.Pc] * (k + T + M - 1), np.matmul)))
+    powers = _powers(ch.Pc, k + T + M - 1)
     jumps = np.cumsum(powers, axis=2).reshape(-1, 4)
     eps_f = np.array([ch.fwd.eps_G, ch.fwd.eps_B])
     counts = _round_rows(powers[: k + T], ch.Pc, eps_f[np.arange(4) // 2], M)

@@ -107,10 +107,11 @@ def check_points(schemes):
         assert n_err == 0
         (row,) = csv.DictReader(io.StringIO(text))
         half = build_half_channel(pt.r, run.EPS_G, run.EPS_B, pt.eps)
-        harq = scheme == "harq"
-        p = ProtocolParams(k=run.K, T=pt.T, scheme=scheme,
-                           gamma_over_rho=cfg.gamma_over_rho(pt.eps) if harq else 0.0)
-        metrics = gearq.harq_metrics if harq else gearq.uncoded_metrics
+        kw = {"M": run.M, "N": run.N} if scheme == "coded" else {}
+        if scheme == "harq":
+            kw["gamma_over_rho"] = cfg.gamma_over_rho(pt.eps)
+        p = ProtocolParams(k=run.K, T=pt.T, scheme=scheme, **kw)
+        metrics = getattr(gearq, f"{scheme}_metrics")
         ana = metrics(build_composite(half, half), p)
         results.append(run.PointResult(pt, 0, 1.0, row, ana, []))
     checks = run.check_analytic(
@@ -130,5 +131,13 @@ def test_check_analytic_runs_on_one_harq_point():
     # the flow-graph oracle needs the uncoded point; the seed-0 reference
     # (1e-8) then also holds the HARQ series' values
     checks = check_points(["uncoded", "harq"])
+    run = load("run")
+    assert checks[0]["count"] == 2 and checks[2]["count"] == 2 * len(run.REF_FIELDS)
+
+
+def test_check_analytic_runs_on_one_coded_point():
+    # the coded frame (M = 5, N = 4) against its seed-0 reference entry;
+    # the flow-graph oracle, uncoded only, needs the uncoded point
+    checks = check_points(["uncoded", "coded"])
     run = load("run")
     assert checks[0]["count"] == 2 and checks[2]["count"] == 2 * len(run.REF_FIELDS)

@@ -126,6 +126,15 @@ def test_point_failure_recorded_not_fatal():
     assert "ParameterError" in bad[0]["error"]
 
 
+def test_unknown_scheme_is_a_named_point_error():
+    # analytic and sim rows build the same ProtocolParams, which names the scheme
+    cfg = SweepConfig(eps=(0.3,), T=(10,), schemes=("bogus",), mode="both", horizon=1000)
+    text, n_err = run_sweep(cfg)
+    rows = [dict(zip(COLUMNS, line.split(","))) for line in text.strip().splitlines()[1:]]
+    assert n_err == 2 and [r["mode"] for r in rows] == ["analytic", "sim"]
+    assert all(r["error"] == "ParameterError: unknown scheme 'bogus'" for r in rows)
+
+
 def test_main_exit_codes(tmp_path):
     cfgfile = tmp_path / "sweep.cfg"
     out = tmp_path / "res.csv"

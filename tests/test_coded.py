@@ -59,7 +59,6 @@ def test_kernel_equals_numpy_kron_build(N):
     u_pos, u_zero = np.diag([0.0] + [1.0] * N), np.diag([1.0] + [0.0] * N)
     ref = dict(
         plain=np.kron(I_u, ch.Pc), W0=np.kron(I_u, ch.Px0), W1=np.kron(I_u, ch.Px1),
-        K=[np.kron(up, np.kron(f.P0, r.P)) + np.kron(I_u, np.kron(f.P1, r.P)) for up in ups],
         K0=[np.kron(up, np.kron(f.P0, r.P0)) + np.kron(I_u, np.kron(f.P1, r.P0)) for up in ups],
         K1=[np.kron(up, np.kron(f.P0, r.P1)) + np.kron(I_u, np.kron(f.P1, r.P1)) for up in ups],
         proj_up=np.kron(u_pos, I4), proj_zero=np.kron(u_zero, I4),
@@ -87,8 +86,7 @@ def test_kernel_observation_matrices_row_stochastic():
     for n in range(1, p.N + 1):
         total = sum(kern.P_C(n, x, y) for x in (0, 1) for y in (0, 1))
         assert np.allclose(total.sum(axis=1), 1.0, atol=1e-12)
-    assert np.allclose(kern.P_A(0), np.eye(kern.dim))
-    assert np.allclose(kern.P_A(1).sum(axis=1), 1.0, atol=1e-12)
+    assert np.allclose(kern.advance.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_zero_error_kernel_loops_vanish():
@@ -101,7 +99,7 @@ def test_zero_error_kernel_loops_vanish():
     assert start @ kern.W1 @ ones == pytest.approx(0.0, abs=1e-12)
     assert start @ kern.K1[0] @ ones == pytest.approx(0.0, abs=1e-12)
     # every packet lands, so after a full round no mass remains at u = 0
-    after = start @ np.linalg.matrix_power(kern.plain, 4) @ np.linalg.matrix_power(kern.K[0], 3)
+    after = start @ np.linalg.matrix_power(kern.plain, 4) @ np.linalg.matrix_power(kern.K0[0] + kern.K1[0], 3)
     assert after[:4].sum() == pytest.approx(0.0, abs=1e-12)
 
 

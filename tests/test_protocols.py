@@ -4,6 +4,7 @@ import pytest
 
 from gearq.channel import ParameterError, build_half_channel, build_composite, symmetric_composite
 from gearq.coded import build_coded_mgf, coded_metrics, default_coded_kernel
+from gearq.flowgraph import build_uncoded_graph
 from gearq.genfunc import (
     NonConvergenceError,
     dual_add,
@@ -16,6 +17,7 @@ from gearq.genfunc import (
 )
 from gearq.protocols import (
     _BLOCK,
+    Accounting,
     AttemptModel,
     ProtocolParams,
     _walk_series,
@@ -378,7 +380,19 @@ def test_walk_series_matches_reference_past_one_block():
             for a, b in ((got.val, ref.val), (got.der, ref.der)):
                 assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), (kind, z)
             if kind == "delay":
-                assert _walk_series(att, p, kind, z)[1] == terms[-1] > _BLOCK
+                assert _walk_series(att, p, Accounting(kind, z))[1] == terms[-1] > _BLOCK
+
+
+@pytest.mark.parametrize("build", ["arq", "coded", "graph"])
+def test_every_builder_rejects_an_unknown_kind(build):
+    ch, p = channel(0.3), ProtocolParams(k=5, T=10)
+    with pytest.raises(ValueError, match="kind must be 'tau' or 'delay'"):
+        if build == "arq":
+            build_arq_mgf(ch, p, attempt_model_for(ch, p), "slots")
+        elif build == "coded":
+            build_coded_mgf(ch, ProtocolParams(k=5, T=10, scheme="coded"), kind="slots")
+        else:
+            build_uncoded_graph(ch, p, "slots")
 
 
 def test_all_erased_feedback_never_converges():
