@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 from .channel import build_composite, build_half_channel
 from .coded import coded_metrics
-from .protocols import Metrics, ProtocolParams, harq_metrics, uncoded_metrics
+from .protocols import SCHEMES, Metrics, ProtocolParams, harq_metrics, uncoded_metrics
 from .sim import SimConfig, pooled_estimate, simulate
 
 COLUMNS = [
@@ -48,6 +48,9 @@ class SweepConfig:
     tol: float = 1e-12
 
     def __post_init__(self):
+        unknown = [s for s in self.schemes if s not in SCHEMES]
+        if unknown:
+            raise ValueError(f"unknown scheme {unknown[0]!r}: schemes are {', '.join(SCHEMES)}")
         if self.mode not in ("analytic", "sim", "both"):
             raise ValueError(f"mode must be analytic, sim or both, not {self.mode!r}")
         if self.mode != "analytic" and not self.seeds:
@@ -79,6 +82,8 @@ def parse_sweep_config(text: str) -> SweepConfig:
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in raw:
+            raise ValueError(f"config line {lineno}: duplicate key {key!r}")
         raw[key] = value
 
     def split(value: str) -> list[str]:
@@ -217,20 +222,24 @@ def _evaluate_point(args) -> list[dict]:
 def run_sweep(cfg: SweepConfig, jobs: int = 1) -> tuple[str, int]:
     """Evaluate the whole grid; returns (csv_text, n_errors).
 
-    Grid points are dispatched to a process pool when jobs > 1; rows are
-    emitted in lexicographic grid order either way.
+    Grid points are dispatched to a process pool of min(jobs, points)
+    workers when that is more than one; rows are emitted in lexicographic
+    grid order either way.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, not {jobs}")
     points = [
         (cfg, scheme, eps, T)
         for scheme in sorted(cfg.schemes)
         for eps in sorted(cfg.eps)
         for T in sorted(cfg.T)
     ]
-    if jobs > 1:
+    workers = min(jobs, len(points))
+    if workers > 1:
         # imported here so that `import gearq` does not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_evaluate_point, points))
     else:
         results = [_evaluate_point(pt) for pt in points]
@@ -278,6 +287,8 @@ def main(argv=None) -> int:
     sweep.add_argument("--seeds", help="comma-separated seed list")
     sweep.add_argument("--jobs", type=int, default=1, help="worker processes")
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        sweep.error("--jobs must be >= 1")
 
     # a config error or an unwritable output is one line on stderr and
     # status 1, before any grid point runs; status 3 means some grid

@@ -3,7 +3,8 @@
 A frame is M coded packets; any N distinct packets decode it.  Feedback
 is a cumulative degrees-of-freedom count, delivered each slot over the
 reverse chain.  Protocol semantics (shared by the analytic kernel and
-the coded lane rules of sim.py, which are normative):
+the frame rules of sim.py, which are normative and run every scheme, a
+packet being a one-packet frame):
 
 * the M packets go out back to back; the frame-level feedback arrives
   one RTT after the last of them;

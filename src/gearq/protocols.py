@@ -280,15 +280,16 @@ def _metrics_from_mgfs(
 def attempt_model_for(ch: CompositeChannel, p: ProtocolParams) -> AttemptModel:
     """The recovery model of the scheme in `p`: its state-B rate sequence.
 
-    Uncoded is the constant sequence at the nominal eps_B; harq combines
-    with eps_B(m) = 1 - exp(-(gamma/rho)/m), which is 0 for gamma/rho = 0.
+    Uncoded and coded are the constant sequence at the nominal eps_B; harq
+    combines with eps_B(m) = min(eps_B, 1 - exp(-(gamma/rho)/m)), never
+    worse than an uncombined reception, and 0 for gamma/rho = 0.
     """
+    g, eb = p.gamma_over_rho, ch.rev.eps_B
     if p.scheme != "harq":
-        return AttemptModel(ch, ch.rev.eps_B)
-    g = p.gamma_over_rho
+        return AttemptModel(ch, eb)
     if g == 0.0:
         return AttemptModel(ch, 0.0)
-    return AttemptModel(ch, lambda m: 1.0 - np.exp(-g / m))
+    return AttemptModel(ch, lambda m: np.minimum(eb, 1.0 - np.exp(-g / m)))
 
 
 def _arq_metrics(ch: CompositeChannel, p: ProtocolParams, scheme: str) -> Metrics:

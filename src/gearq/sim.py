@@ -1,24 +1,23 @@
 """Slot-level Monte Carlo simulation of the ARQ schemes.
 
-Episodes follow one packet (one frame for the coded scheme) through the
-protocol over the joint forward/reverse chain, with per-state erasure
-draws for transmissions and feedback, per-packet timers and cumulative
-acknowledgments.  The reverse component is paired with the forward one
-at the feedback lag, so a slot's chain state carries the forward bit of
-that slot's transmission together with the reverse bit of its feedback
-k slots later; D = k for an error-free exchange.
+Episodes follow one frame through the protocol over the joint
+forward/reverse chain, with per-state erasure draws for transmissions
+and feedback, timers and cumulative acknowledgments.  A packet of the
+uncoded and HARQ schemes is a one-packet frame (M = N = 1), so one rule
+set, _frame_rules, serves every scheme.  The reverse component is
+paired with the forward one at the feedback lag, so a slot's chain
+state carries the forward bit of that slot's transmission together
+with the reverse bit of its feedback k slots later; D = k for an
+error-free exchange.
 
-One lane engine runs every scheme: each iteration advances every lane
-to its next decision and applies the scheme's transition rules.  A lane
-that can decide nothing before a known slot jumps there in one draw
-from the rows of Pc^j, j slots on (the intermediate states are never
-observed, so this is exact in distribution).  An uncoded or HARQ lane
-waiting for its own feedback jumps k or T slots to it, and steps its
-recovery slots one by one.  A coded step that starts a round sends all
-of it and lands on its last slot, the first its feedback can act on.
-Between rounds a coded lane steps slot by slot while a DoF is
-unacknowledged, and jumps from an idle slot to the next round start or
-timer expiry.
+One lane engine, _run_lanes, advances every lane to its next decision
+per iteration.  A lane that can decide nothing before a known slot
+jumps there in one draw from the rows of Pc^j, j slots on (the
+intermediate states are never observed, so this is exact in
+distribution): a step that starts a round sends all of it and lands on
+its last slot, the first its feedback can act on; a lane steps slot by
+slot while a DoF is unacknowledged, and jumps from an idle slot to the
+next round start or timer expiry.
 
 Episode start states are drawn from the new-packet vector pi_I (the
 distribution the analysis assigns to the slot a fresh packet enters
@@ -36,10 +35,6 @@ import numpy as np
 
 from .channel import CompositeChannel, HalfChannel, build_composite
 from .protocols import ProtocolParams, attempt_model_for
-
-# lane legs of the uncoded/HARQ rules: one recovery slot, or a wait of
-# k (after a delivered NACK) or T (after a timeout) slots to own feedback
-RECOV, WAIT_K, WAIT_T = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -83,31 +78,23 @@ class SimStats:
 
 
 class _Moments:
-    """Accumulate mean/stderr for tau and delay samples."""
+    """Exact integer sums of tau, tau^2, delay and delay^2 for mean/stderr."""
 
     def __init__(self):
-        self.n = 0
-        self.sum_tau = 0.0
-        self.sq_tau = 0.0
-        self.sum_d = 0.0
-        self.sq_d = 0.0
-        self.slots = self.max_slots = 0
+        self.n = self.max_slots = 0
+        self.sums = np.zeros(4, dtype=np.int64)
 
     def add(self, tau: np.ndarray, delay: np.ndarray):
         self.n += tau.size
-        self.sum_tau += float(tau.sum())
-        self.sq_tau += float((tau.astype(float) ** 2).sum())
-        self.sum_d += float(delay.sum())
-        self.sq_d += float((delay.astype(float) ** 2).sum())
-        self.slots += int(delay.sum())
+        self.sums += [tau.sum(), (tau * tau).sum(), delay.sum(), (delay * delay).sum()]
         self.max_slots = max(self.max_slots, int(delay.max()))
 
     def stats(self, iterations: int, retired_lane_steps: int) -> SimStats:
         n = self.n
-        tau_mean = self.sum_tau / n
-        d_mean = self.sum_d / n
-        var_tau = max(self.sq_tau / n - tau_mean**2, 0.0)
-        var_d = max(self.sq_d / n - d_mean**2, 0.0)
+        sum_tau, sq_tau, slots, sq_d = (int(x) for x in self.sums)
+        tau_mean, d_mean = sum_tau / n, slots / n
+        var_tau = max(sq_tau / n - tau_mean**2, 0.0)
+        var_d = max(sq_d / n - d_mean**2, 0.0)
         return SimStats(
             tau_mean_hat=tau_mean,
             tau_stderr=float(np.sqrt(var_tau / n)),
@@ -115,7 +102,7 @@ class _Moments:
             delay_stderr=float(np.sqrt(var_d / n)),
             throughput_hat=1.0 / tau_mean,
             delivered=n,
-            slots_elapsed=self.slots,
+            slots_elapsed=slots,
             iterations=iterations, retired_lane_steps=retired_lane_steps,
             max_episode_slots=self.max_slots,
         )
@@ -172,8 +159,8 @@ def _run_lanes(cfg: SimConfig, ch: CompositeChannel, fields, start, step) -> Sim
     next unstarted one until horizon episodes have started, and every
     started episode runs to its end.  The engine owns the chain state,
     the slot count s and the transmission count tau of every lane; the
-    scheme names its other lane fields, sets them up in start(L, idx)
-    for newly started lanes, and advances every lane by one decision in
+    rules name their other lane fields, set them up in start(L, idx)
+    for newly started lanes, and advance every lane by one decision in
     step(L, u), given three uniforms per lane, returning where an
     episode ended.  Retired lanes keep stepping unobserved, so the rules
     need no mask of active lanes.
@@ -210,53 +197,8 @@ def _run_lanes(cfg: SimConfig, ch: CompositeChannel, fields, start, step) -> Sim
     return acc.stats(iterations, retired)
 
 
-def _arq_rules(cfg: SimConfig, ch: CompositeChannel):
-    """Uncoded/HARQ lanes: wait for own feedback, then recover slot by slot."""
-    p = cfg.params
-    k, T, d = p.k, p.T, p.d
-    att = attempt_model_for(ch, p)
-    legs = np.array([1, k, T])
-    jumps = np.cumsum(_powers(ch.Pc, T)[legs - 1], axis=2).reshape(-1, 4)
-    eps_f = np.array([ch.fwd.eps_G, ch.fwd.eps_B])
-    eps_r = np.array([ch.rev.eps_G, ch.rev.eps_B])
-
-    def start(L, idx):
-        L.leg[idx] = WAIT_K
-        L.tau[idx] = 1
-
-    def step(L, u):
-        u_step, u_f, u_r = u
-        rv = L.leg == RECOV
-        L.state = _chain_step(jumps, 4 * L.leg + L.state, u_step)
-        L.s += legs[L.leg]
-        fwd_bad, rev_bad = L.state // 2, L.state % 2
-
-        # own feedback is drawn at the nominal rates, a recovery slot at
-        # the rates of its combining index ri
-        L.ri += rv
-        eg, eb = att.rates(np.maximum(L.ri, 1))
-        r_err = u_r < np.where(rv, np.where(rev_bad, eb, eg), eps_r[rev_bad])
-        f_err = ~rv & (u_f < eps_f[fwd_bad])
-        rec = ~rv & ~f_err & r_err
-        # recovery: the timer runs while feedback stays erased
-        L.ecd -= rv & r_err
-        hit = rv & r_err & (L.ecd == 0)
-
-        # own-feedback outcomes: a lost packet is sent again and waits k
-        # (NACK delivered) or T (timeout) slots; a delivered packet whose
-        # feedback is erased enters cumulative-feedback recovery, where
-        # the timer has already run out when d = 0
-        L.tau += f_err | hit | (rec & (d == 0))
-        L.leg = np.where(f_err, np.where(r_err, WAIT_T, WAIT_K), np.where(rec, RECOV, L.leg))
-        L.ri[rec] = 0
-        L.ecd = np.where(hit, T, np.where(rec, d or T, L.ecd))
-        return ~f_err & ~r_err
-
-    return ("leg", "ecd", "ri"), start, step
-
-
-def _coded_rules(cfg: SimConfig, ch: CompositeChannel):
-    """Coded-frame lanes, normative for coded.py's kernel.
+def _frame_rules(cfg: SimConfig, ch: CompositeChannel):
+    """Frame lanes of every scheme, normative for coded.py's kernel.
 
     Per-slot event order: scheduled round start / timer expiry, packet
     transmission (forward draw, DoF counting), feedback processing
@@ -268,6 +210,9 @@ def _coded_rules(cfg: SimConfig, ch: CompositeChannel):
     that slot, which then draws the round's DoF count and the feedback.
     adv is 1 while a DoF is unacknowledged; from an idle slot it reaches
     the next round start or timer expiry (slot k for a fresh frame).
+    A round's own feedback is drawn at the nominal reverse rates, and a
+    slot that starts with a DoF unacknowledged at the scheme's recovery
+    rates (attempt_model_for) at index ri, the slots of that wait so far.
     """
     p = cfg.params
     k, T, M, N = p.k, p.T, p.M, p.N
@@ -277,6 +222,23 @@ def _coded_rules(cfg: SimConfig, ch: CompositeChannel):
     eps_f = np.array([ch.fwd.eps_G, ch.fwd.eps_B])
     counts = _round_rows(powers[: k + T], ch.Pc, eps_f[np.arange(4) // 2], M)
     eps_r = np.array([ch.rev.eps_G, ch.rev.eps_B])
+    att = attempt_model_for(ch, p)
+
+    def table(top):  # [2 * m + reverse state]: nominal at m = 0, recovery at m = 1..top
+        recovery = np.column_stack(att.rates(np.arange(1, top + 1)))
+        return np.concatenate([eps_r, recovery.ravel()])
+
+    miss = table(1)
+
+    def feedback_miss(L, wait, rev):
+        nonlocal miss
+        if att.constant:
+            return miss[2 * wait + rev]
+        L.ri = (L.ri + 1) * wait
+        top = int(L.ri.max())
+        if 2 * top + 2 > miss.size:
+            miss = table(2 * top)
+        return miss[2 * L.ri + rev]
 
     def start(L, idx):
         L.tau[idx] = L.c_rx[idx] = L.c_ack[idx] = 0
@@ -285,14 +247,15 @@ def _coded_rules(cfg: SimConfig, ch: CompositeChannel):
 
     def step(L, u):
         u_step, u_f, u_r = u
+        wait = L.c_rx > L.c_ack
         # a round goes out at its scheduled start or when the timer expires:
         # the whole frame until a DoF is acknowledged, then single repairs
         first = L.s + L.adv
         exp = first == L.next_expiry
         go = exp | (first == L.sched_start)
-        length = np.where(L.c_ack == 0, M, 1)
+        length = 1 + (M - 1) * (L.c_ack == 0)
         n, lead = go * length, L.adv - 1
-        rest = np.maximum(n - 1, 0)  # slots of the round after its first
+        rest = n - go  # slots of the round after its first
         count_row = 16 * ((M + 1) * lead + n) + 4 * L.state
         L.state = _chain_step(jumps, 4 * (lead + rest) + L.state, u_step)
         c = _chain_step(counts, count_row + L.state, u_f)
@@ -301,11 +264,11 @@ def _coded_rules(cfg: SimConfig, ch: CompositeChannel):
         L.c_rx = np.minimum(L.c_rx + c, N)
         L.next_expiry += T * exp
 
-        fb = u_r >= eps_r[L.state % 2]
+        fb = u_r >= feedback_miss(L, wait, L.state & 1)
         prog = fb & (L.c_rx > L.c_ack)
         # charge repair packets already committed within one RTT
         pend = prog & (L.next_expiry > s) & (L.next_expiry < s + k)
-        L.tau += np.where(pend, np.minimum(s + k - L.next_expiry, length), 0)
+        L.tau += pend * np.minimum(s + k - L.next_expiry, length)
         L.c_ack = np.where(prog, L.c_rx, L.c_ack)
         done = prog & (L.c_ack == N)
         # progress schedules the next repair one RTT on; a no-progress
@@ -317,14 +280,13 @@ def _coded_rules(cfg: SimConfig, ch: CompositeChannel):
         L.adv = np.where(L.c_rx == L.c_ack, np.minimum(upcoming, L.next_expiry) - s, 1)
         return done
 
-    return ("c_rx", "c_ack", "sched_start", "next_expiry", "adv"), start, step
+    return ("c_rx", "c_ack", "sched_start", "next_expiry", "adv", "ri"), start, step
 
 
 def simulate(cfg: SimConfig) -> SimStats:
     """Run one seeded simulation and return the sample estimates."""
     ch = build_composite(cfg.fwd, cfg.rev)
-    rules = _coded_rules if cfg.params.scheme == "coded" else _arq_rules
-    return _run_lanes(cfg, ch, *rules(cfg, ch))
+    return _run_lanes(cfg, ch, *_frame_rules(cfg, ch))
 
 
 def pooled_estimate(stats: list[SimStats]) -> tuple[float, float, float, float]:

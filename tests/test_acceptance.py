@@ -237,10 +237,17 @@ def test_criterion_8_qualitative_trends():
         rows[e]["coded"].delay_mean_per_packet <= rows[e]["uncoded"].delay_mean
         for e in EPS_GRID
     )
-    # soft combining shortens the delay
+    # soft combining shortens the delay, also where state B erases only
+    # part of the uncombined receptions (eps_B < 1, admissible eps only)
     ok &= all(
         rows[e]["harq"].delay_mean <= rows[e]["uncoded"].delay_mean for e in EPS_GRID
     )
+    for eps_B in (0.5, 0.6):
+        for e in (e for e in EPS_GRID if R * e <= eps_B - e):
+            ch_B = symmetric_composite(R, 0.0, eps_B, e)
+            for T in (5, 10):
+                harq, unc = (metrics_for(s, ch_B, e, T) for s in ("harq", "uncoded"))
+                ok &= harq.delay_mean <= unc.delay_mean
     # larger timers raise both throughput and delay at eps = 0.3
     ch = channel(0.3)
     for scheme in ("uncoded", "harq", "coded"):

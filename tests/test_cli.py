@@ -126,13 +126,53 @@ def test_point_failure_recorded_not_fatal():
     assert "ParameterError" in bad[0]["error"]
 
 
-def test_unknown_scheme_is_a_named_point_error():
-    # analytic and sim rows build the same ProtocolParams, which names the scheme
-    cfg = SweepConfig(eps=(0.3,), T=(10,), schemes=("bogus",), mode="both", horizon=1000)
-    text, n_err = run_sweep(cfg)
-    rows = [dict(zip(COLUMNS, line.split(","))) for line in text.strip().splitlines()[1:]]
-    assert n_err == 2 and [r["mode"] for r in rows] == ["analytic", "sim"]
-    assert all(r["error"] == "ParameterError: unknown scheme 'bogus'" for r in rows)
+def test_unknown_scheme_is_a_config_error():
+    # named when the config is built, before any grid point runs
+    with pytest.raises(ValueError, match="unknown scheme 'bogus'"):
+        SweepConfig(eps=(0.3,), T=(10,), schemes=("uncoded", "bogus"))
+    with pytest.raises(ValueError, match="unknown scheme 'Coded'"):
+        parse_sweep_config(BASIC.replace("schemes = uncoded", "schemes = uncoded, Coded"))
+
+
+def test_duplicate_config_key_is_named():
+    with pytest.raises(ValueError, match="config line 10: duplicate key 'eps'"):
+        parse_sweep_config(BASIC + "eps = 0.2\n")
+
+
+def test_jobs_must_be_positive():
+    cfg = SweepConfig(eps=(0.3,), T=(10,), schemes=("uncoded",))
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run_sweep(cfg, jobs=jobs)
+
+
+def test_worker_pool_is_capped_at_the_grid_size(monkeypatch):
+    # a fake pool records its size and maps in this process: no worker starts
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    cfg = SweepConfig(eps=(0.1, 0.3), T=(5,), schemes=("uncoded", "harq"))
+    seq, _ = run_sweep(cfg, jobs=1)
+    assert run_sweep(cfg, jobs=5000) == (seq, 0)
+    assert run_sweep(cfg, jobs=3) == (seq, 0)
+    one = replace(cfg, eps=(0.3,), schemes=("uncoded",))
+    run_sweep(one, jobs=8)  # one point: no pool
+    assert sizes == [4, 3]
 
 
 def test_main_exit_codes(tmp_path):
@@ -151,6 +191,9 @@ def test_main_exit_codes(tmp_path):
     assert "ParameterError" in out.read_text()
     with pytest.raises(SystemExit) as usage:
         main(["sweep"])
+    assert usage.value.code == 2
+    with pytest.raises(SystemExit) as usage:
+        main(["sweep", "--config", str(cfgfile), "--jobs", "0"])
     assert usage.value.code == 2
 
 
@@ -248,14 +291,17 @@ def test_main_seed_and_tol_overrides(tmp_path):
         (BASIC + "bogus = 1\n", [], "unknown config key 'bogus'"),
         (BASIC.replace("mode = analytic", "mode = fast"), [], "mode must be"),
         (BASIC.replace("mode = analytic", "mode = sim") + "seeds =\n", [], "at least one seed"),
-        (BASIC + "k = five\n", [], "config key 'k'"),
+        (BASIC.replace("k = 5", "k = five"), [], "config key 'k'"),
         (BASIC, ["--seeds", "a"], "--seeds"),
         (BASIC + "seeds =\n", ["--mode", "sim"], "at least one seed"),
         (None, [], "No such file"),
         (BASIC + "gamma_over_rho = ten*eps\n", [], "gamma_over_rho"),
+        (BASIC.replace("schemes = uncoded", "schemes = bogus"), [], "unknown scheme 'bogus'"),
+        (BASIC + "T = 5\n", [], "config line 10: duplicate key 'T'"),
     ],
     ids=["unknown-key", "bad-mode", "sim-without-seeds", "bad-value", "bad-seeds",
-         "sim-override-without-seeds", "missing-file", "bad-gamma-rule"],
+         "sim-override-without-seeds", "missing-file", "bad-gamma-rule", "unknown-scheme",
+         "duplicate-key"],
 )
 def test_main_config_errors_are_one_line(tmp_path, capsys, config, extra, message):
     cfgfile = tmp_path / "sweep.cfg"

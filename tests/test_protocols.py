@@ -51,6 +51,11 @@ def constant_harq(ch, T):
     return tau, delay
 
 
+def combined_eps_B(ch, gamma_over_rho, m):
+    """State B's rate at combining index m: never above the nominal eps_B."""
+    return min(ch.rev.eps_B, 1.0 - np.exp(-gamma_over_rho / m))
+
+
 def test_params_validation():
     with pytest.raises(ParameterError):
         ProtocolParams(k=5, T=4)                      # T < k
@@ -99,8 +104,8 @@ def test_observation_matches_kronecker_formula(ch):
     ms = np.arange(1, 65)
     models = [
         (attempt_model_for(ch, ProtocolParams(k=5, T=10)), lambda m: ch.rev.eps_B),
-        (attempt_model_for(ch, harq_params(10, 3.0)), lambda m: 1.0 - np.exp(-3.0 / m)),
-        (attempt_model_for(ch, harq_params(10, 10.0)), lambda m: 1.0 - np.exp(-10.0 / m)),
+        (attempt_model_for(ch, harq_params(10, 3.0)), lambda m: combined_eps_B(ch, 3.0, m)),
+        (attempt_model_for(ch, harq_params(10, 10.0)), lambda m: combined_eps_B(ch, 10.0, m)),
         (AttemptModel(ch, 0.0), lambda m: 0.0),
     ]
     for att, eps_B in models:
@@ -244,6 +249,24 @@ def test_harq_improves_delay_with_combining():
         assert mh.delay_mean <= mu.delay_mean
 
 
+def test_harq_state_B_rule_caps_at_the_nominal_rate():
+    # eps_B < 1: combining is never slower than uncoded; eps_B = 1: the
+    # cap moves nothing, bit for bit
+    for eps_B, eps in ((0.5, 0.3), (0.6, 0.4), (0.9, 0.4)):
+        ch = symmetric_composite(0.3, 0.0, eps_B, eps)
+        for T in (5, 10):
+            p = harq_params(T, 10 * eps)
+            assert attempt_model_for(ch, p).eps_B(1) == eps_B
+            mu, mh = uncoded_metrics(ch, ProtocolParams(k=5, T=T)), harq_metrics(ch, p)
+            assert mh.delay_mean <= mu.delay_mean and mh.tau_mean <= mu.tau_mean
+    ch, p = channel(0.3), harq_params(10, 3.0)
+    uncapped = AttemptModel(ch, lambda m: 1.0 - np.exp(-3.0 / m))
+    for kind in ("tau", "delay"):
+        a = build_arq_mgf(ch, p, attempt_model_for(ch, p), kind)
+        b = build_arq_mgf(ch, p, uncapped, kind)
+        assert np.array_equal(a.val, b.val) and np.array_equal(a.der, b.der)
+
+
 @pytest.mark.parametrize("eps,T", [(0.3, 10), (0.5, 5), (0.6, 20)])
 def test_uncoded_matches_exhaustive_enumeration(eps, T):
     from exhaustive import enumerate_arq
@@ -260,8 +283,11 @@ def test_uncoded_matches_exhaustive_enumeration(eps, T):
 
 @pytest.mark.parametrize(
     "eps,T,eps_G,eps_B",
-    [(0.3, 10, 0.0, 1.0), (0.5, 5, 0.0, 1.0), (0.1, 10, 0.0, 1.0), (0.4, 10, 0.1, 0.9)],
-    ids=["0.3-10", "0.5-5", "0.1-10", "eps_G0.1-0.4-10"],
+    [
+        (0.3, 10, 0.0, 1.0), (0.5, 5, 0.0, 1.0), (0.1, 10, 0.0, 1.0), (0.4, 10, 0.1, 0.9),
+        (0.3, 5, 0.0, 0.5), (0.4, 10, 0.0, 0.6),
+    ],
+    ids=["0.3-10", "0.5-5", "0.1-10", "eps_G0.1-0.4-10", "eps_B0.5-0.3-5", "eps_B0.6-0.4-10"],
 )
 def test_harq_matches_exhaustive_enumeration(eps, T, eps_G, eps_B):
     # exact oracle for the combining recovery, index continuing across

@@ -6,10 +6,12 @@ import pytest
 
 from gearq.channel import build_composite, build_half_channel, symmetric_composite
 from gearq.coded import coded_metrics
-from gearq.protocols import ProtocolParams, harq_metrics, uncoded_metrics
+from gearq.protocols import ProtocolParams, attempt_model_for, harq_metrics, uncoded_metrics
 from gearq.sim import (
     SimConfig,
     _chain_step,
+    _Moments,
+    _frame_rules,
     _powers,
     _round_rows,
     _run_lanes,
@@ -181,6 +183,23 @@ def test_config_rejects_nonpositive_batch(batch):
         cfg(batch=batch)
 
 
+def test_moments_match_numpy():
+    # integer sums are exact, so the means are the exact quotients
+    rng = np.random.default_rng(3)
+    batches = [(rng.integers(1, 9, n), rng.integers(5, 400, n)) for n in (1, 700, 4096)]
+    acc = _Moments()
+    for tau, delay in batches:
+        acc.add(tau, delay)
+    st = acc.stats(iterations=3, retired_lane_steps=0)
+    tau, delay = (np.concatenate(x) for x in zip(*batches))
+    assert (st.delivered, st.slots_elapsed, st.max_episode_slots) == (
+        tau.size, delay.sum(), delay.max())
+    assert st.tau_mean_hat == tau.sum() / tau.size
+    assert st.delay_mean_hat == delay.sum() / delay.size
+    assert st.tau_stderr == pytest.approx(tau.std() / np.sqrt(tau.size), rel=1e-12)
+    assert st.delay_stderr == pytest.approx(delay.std() / np.sqrt(delay.size), rel=1e-12)
+
+
 def test_pooled_estimate_pools_episode_moments():
     a = simulate(cfg(seed=1, horizon=5_000))
     b = simulate(cfg(seed=2, horizon=5_000))
@@ -223,8 +242,10 @@ def test_feedback_erasures_hurt():
         # dropping eps_G from the recovery draw moves this delay by 0.17
         # (|z| = 6.4 here); at eps_G = 0.1 it moves 0.04 (|z| = 2.1, unseen)
         ("harq", 0.5, 0.3, 0.9),
+        # combining capped at the nominal eps_B: state-B rate 0.5 up to m = 4
+        ("harq", 0.3, 0.0, 0.5),
     ],
-    ids=["uncoded-0.3", "harq-0.3", "harq-0.4-eps_G0.1", "harq-0.5-eps_G0.3"],
+    ids=["uncoded-0.3", "harq-0.3", "harq-0.4-eps_G0.1", "harq-0.5-eps_G0.3", "harq-eps_B0.5"],
 )
 def test_sim_matches_analysis_quick(scheme, eps, eps_G, eps_B):
     h = half(eps, eg=eps_G, eb=eps_B)
@@ -372,6 +393,58 @@ def test_round_step_matches_per_slot_rules(h, k, T, M, N):
     (ta, sta, da, sda), (tb, stb, db, sdb) = (pooled_estimate(r) for r in runs.values())
     assert abs(ta - tb) <= 4 * np.hypot(sta, stb)
     assert abs(da - db) <= 4 * np.hypot(sda, sdb)
+
+
+def reference_arq_rules(cfg, ch):
+    """The reference uncoded/HARQ rules: one packet waits k or T slots for
+    its own feedback, then recovers slot by slot while its ACK is erased."""
+    RECOV, WAIT_K, WAIT_T = 0, 1, 2
+    p = cfg.params
+    k, T, d = p.k, p.T, p.d
+    att = attempt_model_for(ch, p)
+    legs = np.array([1, k, T])
+    jumps = cum_rows(_powers(ch.Pc, T)[legs - 1])
+    eps_f = np.array([ch.fwd.eps_G, ch.fwd.eps_B])
+    eps_r = np.array([ch.rev.eps_G, ch.rev.eps_B])
+
+    def start(L, idx):
+        L.leg[idx] = WAIT_K
+        L.tau[idx] = 1
+
+    def step(L, u):
+        u_step, u_f, u_r = u
+        rv = L.leg == RECOV
+        L.state = _chain_step(jumps, 4 * L.leg + L.state, u_step)
+        L.s += legs[L.leg]
+        fwd_bad, rev_bad = L.state // 2, L.state % 2
+        # own feedback at the nominal rates, a recovery slot at index ri
+        L.ri += rv
+        eg, eb = att.rates(np.maximum(L.ri, 1))
+        r_err = u_r < np.where(rv, np.where(rev_bad, eb, eg), eps_r[rev_bad])
+        f_err = ~rv & (u_f < eps_f[fwd_bad])
+        rec = ~rv & ~f_err & r_err
+        L.ecd -= rv & r_err
+        hit = rv & r_err & (L.ecd == 0)
+        L.tau += f_err | hit | (rec & (d == 0))
+        L.leg = np.where(f_err, np.where(r_err, WAIT_T, WAIT_K), np.where(rec, RECOV, L.leg))
+        L.ri[rec] = 0
+        L.ecd = np.where(hit, T, np.where(rec, d or T, L.ecd))
+        return ~f_err & ~r_err
+
+    return ("leg", "ecd", "ri"), start, step
+
+
+@pytest.mark.parametrize("scheme,gamma_over_rho", [("uncoded", 0.0), ("harq", 0.0), ("harq", 3.0)])
+@pytest.mark.parametrize("batch", [300, 4096])
+def test_one_packet_frames_match_reference_arq_rules(scheme, gamma_over_rho, batch):
+    # a packet is a one-packet frame: every SimStats field is equal
+    for k, d, eps_G, eps_B in itertools.product((1, 5), (0, 7), (0.0, 0.2), (0.9, 1.0)):
+        fwd, rev = half(0.4, eg=eps_G, eb=eps_B), half(0.35, r=0.2, eg=eps_G, eb=eps_B)
+        ch = build_composite(fwd, rev)
+        p = ProtocolParams(k=k, T=k + d, scheme=scheme, gamma_over_rho=gamma_over_rho)
+        c = SimConfig(params=p, fwd=fwd, rev=rev, seed=k + d, horizon=3_000, batch=batch)
+        frames = _run_lanes(c, ch, *_frame_rules(c, ch))
+        assert frames == _run_lanes(c, ch, *reference_arq_rules(c, ch)), (k, d, eps_G, eps_B)
 
 
 def test_coded_sim_matches_analysis_quick():
