@@ -45,9 +45,11 @@ class SweepConfig:
     seeds: tuple[int, ...] = (0,)
     horizon: int = 100_000
     out: str = "sweep.csv"
-    tol: float = 1e-12
 
     def __post_init__(self):
+        for name in ("eps", "T", "schemes"):
+            if not getattr(self, name):
+                raise ValueError(f"{name!r} needs at least one value")
         unknown = [s for s in self.schemes if s not in SCHEMES]
         if unknown:
             raise ValueError(f"unknown scheme {unknown[0]!r}: schemes are {', '.join(SCHEMES)}")
@@ -64,6 +66,12 @@ class SweepConfig:
                 "gamma_over_rho must be a number or '<c>*eps' with c >= 0, "
                 f"not {self.gamma_over_rho_rule!r}"
             )
+        for scheme in self.schemes:  # every grid point's timer and frame shape
+            for T in self.T:
+                try:
+                    _params(self, scheme, 0.0, T)
+                except ValueError as exc:
+                    raise ValueError(f"{scheme} at T = {T}: {exc}") from None
 
     def gamma_over_rho(self, eps: float) -> float:
         rule = self.gamma_over_rho_rule.replace(" ", "")
@@ -104,12 +112,11 @@ def parse_sweep_config(text: str) -> SweepConfig:
         "seeds": lambda v: tuple(int(x) for x in split(v)),
         "horizon": int,
         "out": str,
-        "tol": float,
     }
     kwargs = {}
     for key, value in raw.items():
         if key not in known:
-            raise ValueError(f"unknown config key {key!r}")
+            raise ValueError(f"unknown config key {key!r}: keys are {', '.join(known)}")
         name = "gamma_over_rho_rule" if key == "gamma_over_rho" else key
         try:
             kwargs[name] = known[key](value)
@@ -135,9 +142,9 @@ def _params(cfg: SweepConfig, scheme: str, eps: float, T: int) -> ProtocolParams
     """The grid point's protocol: harq combines at gamma/rho(eps), coded
     frames are M packets of which N decode."""
     if scheme == "coded":
-        return ProtocolParams(k=cfg.k, T=T, scheme=scheme, M=cfg.M, N=cfg.N, series_tol=cfg.tol)
+        return ProtocolParams(k=cfg.k, T=T, scheme=scheme, M=cfg.M, N=cfg.N)
     g = cfg.gamma_over_rho(eps) if scheme == "harq" else 0.0
-    return ProtocolParams(k=cfg.k, T=T, scheme=scheme, gamma_over_rho=g, series_tol=cfg.tol)
+    return ProtocolParams(k=cfg.k, T=T, scheme=scheme, gamma_over_rho=g)
 
 
 def _analytic_point(cfg: SweepConfig, scheme: str, eps: float, T: int) -> Metrics:
@@ -265,8 +272,6 @@ def _load_config(args) -> SweepConfig:
         overrides["mode"] = args.mode
     if args.out:
         overrides["out"] = args.out
-    if args.tol is not None:
-        overrides["tol"] = args.tol
     if args.seeds:
         try:
             overrides["seeds"] = tuple(int(s) for s in args.seeds.split(","))
@@ -283,7 +288,6 @@ def main(argv=None) -> int:
     sweep.add_argument("--config", required=True, help="sweep config file")
     sweep.add_argument("--mode", choices=["analytic", "sim", "both"])
     sweep.add_argument("--out", help="output CSV path (overrides config)")
-    sweep.add_argument("--tol", type=float, help="series truncation tolerance")
     sweep.add_argument("--seeds", help="comma-separated seed list")
     sweep.add_argument("--jobs", type=int, default=1, help="worker processes")
     args = parser.parse_args(argv)

@@ -155,7 +155,6 @@ def _recovery_walk(
     T: int,
     flight: list[int],
     acc: Accounting,
-    tol: float,
 ) -> DualMatrix:
     """Wait for a delivered feedback after stage `stage`'s DoF arrived unacked.
 
@@ -187,7 +186,7 @@ def _recovery_walk(
                 prefix = dual_mul(prefix, acc.term(x1, sent, 1))
             o += 1
 
-    return dual_sum_truncated(steps(), tol=tol)
+    return dual_sum_truncated(steps())
 
 
 def build_coded_mgf(
@@ -220,7 +219,7 @@ def build_coded_mgf(
             acc.term(obs[(0, 0)], 1 + flight[-1], 1),
             dual_mul(
                 acc.term(obs[(0, 1)], 1, 1),
-                _recovery_walk(kern, n, L, T, flight, acc, p.series_tol),
+                _recovery_walk(kern, n, L, T, flight, acc),
             ),
         )
         send = dual_mul(acc.term(Pk1, 0, k - 1), acc.term(KL1, L - 1, L - 1))
@@ -238,13 +237,11 @@ def build_coded_mgf(
     return phi
 
 
-def coded_metrics(
-    ch: CompositeChannel, p: ProtocolParams, kernel: CodedKernel | None = None
-) -> Metrics:
+def coded_metrics(ch: CompositeChannel, p: ProtocolParams) -> Metrics:
     """Frame-level and per-packet throughput/delay for the coded scheme."""
     if p.scheme != "coded":
         raise ParameterError("params do not select the coded scheme")
-    kern = default_coded_kernel(ch, p) if kernel is None else kernel
+    kern = default_coded_kernel(ch, p)
     tau = build_coded_mgf(ch, p, kern, "tau")
     delay = build_coded_mgf(ch, p, kern, "delay")
     return _metrics_from_mgfs(ch, p.M, tau, delay, pi_I=kern.start_vector())

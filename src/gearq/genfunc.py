@@ -94,10 +94,10 @@ def dual_geo(a: DualMatrix, slack: float = 1e-9) -> DualMatrix:
         inv = np.linalg.inv(np.eye(a.n) - a.val)
     except np.linalg.LinAlgError:
         raise NonConvergenceError("I - a is singular: self-loop spectral radius 1") from None
-    norm = np.max(np.sum(np.abs(inv), axis=1))
+    norm = np.abs(inv).sum(axis=1).max()
     if not norm < 1.0 / slack:
         raise NonConvergenceError(f"||(I - a)^-1||_inf = {norm:.3g}: loop gain too close to 1")
-    if np.min(inv) < -_ROUNDING * norm:
+    if inv.min() < -_ROUNDING * norm:
         raise NonConvergenceError("(I - a)^-1 has a negative entry: loop gain above 1")
     return DualMatrix(inv, inv @ a.der @ inv)
 

@@ -16,8 +16,8 @@ packet sent in slot t arrives in slot t+k, so an error-free first
 exchange has delay k.  The recovery is one per-slot walk: each slot
 takes one slot, and each timer expiry sends one packet (the pointless
 retransmission).  One blocked kernel steps it, values and z-derivatives
-stacked side by side: a constant model is closed exactly over one T-slot
-period, soft combining is summed as a series, 32 slots per kernel call.
+stacked side by side, and a closure over its last T-slot period ends it
+with a certified bound on the error of its mean (_recovery_walk).
 """
 from __future__ import annotations
 
@@ -37,7 +37,8 @@ from .genfunc import (
 )
 
 SCHEMES = ("uncoded", "harq", "coded")
-_BLOCK = 32  # slots per kernel call of a series walk
+_BLOCK = 32  # slots in a block of the recovery walk, rounded up to whole periods
+_CERTIFIED = 1e-15  # the recovery walk stops once its certified mean error is this small
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,6 @@ class ProtocolParams:
     M: int = 1
     N: int = 1
     gamma_over_rho: float = 0.0
-    series_tol: float = 1e-12
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -121,12 +121,11 @@ class AttemptModel:
     """Reverse-link erasure rates along the combining index, as chain matrices.
 
     eps_B is state B's erasure-rate sequence over the combining index
-    m >= 1: a number for a constant sequence (closed exactly with
-    dual_geo), or a vectorized function of m (summed as a truncated
-    series).  State G's rate at m is min(eps_G, eps_B(m)): combining
-    never makes state G worse than its nominal rate, nor worse than
-    state B.  Observations are linear in the rates (self._K: the chain
-    step into reverse state G, into B).
+    m >= 1: a number, or a vectorized function of m that never rises and
+    takes m = inf (its limit).  State G's rate at m is min(eps_G,
+    eps_B(m)): combining never makes state G worse than its nominal
+    rate, nor worse than state B.  Observations are linear in the rates
+    (self._K: the chain step into reverse state G, into B).
     """
 
     def __init__(self, ch: CompositeChannel, eps_B):
@@ -136,8 +135,8 @@ class AttemptModel:
         self._K = [kron(ch.fwd.P, ch.rev.P * mask) for mask in ([1.0, 0.0], [0.0, 1.0])]
 
     def rates(self, m):
-        """(eps_G, eps_B) of the reverse link at index m (scalar or array)."""
-        eb = self.eps_B(m)
+        """(eps_G, eps_B) of the reverse link at index m, each shaped like m."""
+        eb = self.eps_B(m) + np.zeros(np.shape(m))
         return np.minimum(self.ch.rev.eps_G, eb), eb
 
     def observation(self, m) -> tuple[np.ndarray, np.ndarray]:
@@ -145,82 +144,80 @@ class AttemptModel:
         reverse bit (delivered, erased), summing to the chain matrix; for
         an array of n indices, two (n, 4, 4) stacks."""
         KG, KB = self._K
-        eg, eb = (np.broadcast_to(x, np.shape(m))[..., None, None] for x in self.rates(m))
+        eg, eb = (x[..., None, None] for x in self.rates(m))
         return (1.0 - eg) * KG + (1.0 - eb) * KB, eg * KG + eb * KB
 
 
-def _walk(att: AttemptModel, p: ProtocolParams, acc: Accounting, j: int, n: int, wait):
-    """Slots j .. j+n-1 of the recovery walk entered with `wait`: the
-    (n, 4, 8) stack of each slot's end and the wait through the last.
-
-    Duals travel as [val | der] (4x8); both X0 (end) and X1 (wait on)
-    carry z^e(i) at slot i, e(i) its count (one slot; one packet at each
-    timer expiry), so one 4x8 @ 8x16 product steps a slot.
-    """
+def _steps(att: AttemptModel, p: ProtocolParams, acc: Accounting, j: int, n: int) -> np.ndarray:
+    """Slots j..j+n-1 of the walk as _pack steps of X0 (end) and X1 (wait on, never rising),
+    charged z^e(i): a slot, or a packet per timer expiry (slots d+1, d+1+T, ..., none before)."""
     i = np.arange(j, j + n)
-    expiry = (i > p.d) & ((i - p.d - 1) % p.T == 0)
-    e, z = acc.power(expiry * 1.0, np.ones(n)), acc.z
+    e, z = acc.power(((i - p.d - 1) % p.T == 0) * 1.0, np.ones(n)), acc.z
     c, dc = (z**e)[:, None, None], (e * z ** (e - 1))[:, None, None]
-    step = np.zeros((n, 8, 16))
-    for col, X in zip((0, 8), att.observation(i)):
-        step[:, :4, col : col + 4] = step[:, 4:, col + 4 : col + 8] = c * X
-        step[:, :4, col + 4 : col + 8] = dc * X
-    out = np.empty((n, 4, 16))
-    for t in range(n):
-        wait = np.matmul(wait, step[t], out=out[t])[:, 8:]
-    return out[:, :, :8], wait
+    X0, X1 = att.observation(i)
+    if (X1[1:] > X1[:-1]).any():
+        raise ParameterError(f"recovery rates rise along the combining index after {j}")
+    return _pack(*(np.concatenate((c * X, dc * X), axis=-1) for X in (X0, X1)))
+
+
+def _pack(end: np.ndarray, wait: np.ndarray) -> np.ndarray:
+    """The 8x16 step [[E, E', W, W'], [0, E, 0, W]] (or a stack) that maps
+    [val | der] rows to [ends | wait], for an end and a wait in [val | der]."""
+    step = np.zeros(end.shape[:-2] + (8, 16))
+    for col, D in ((0, end), (8, wait)):
+        step[..., :4, col : col + 8] = D
+        step[..., 4:, col + 4 : col + 8] = D[..., :4]
+    return step
+
+
+_IDLE = _pack(np.zeros((1, 4, 8)), np.eye(4, 8)[None])  # ends nothing, passes the wait on
+
+
+def _chain(wait: np.ndarray, steps: np.ndarray):
+    """Step [val | der] rows `wait` (or a stack) through `steps`: their ends, the last wait."""
+    out = np.empty(steps.shape[:-2] + (4, 16))
+    for t, step in enumerate(steps):
+        wait = np.matmul(wait, step, out=out[t])[..., 8:]
+    return out[..., :8], wait
 
 
 def _stacked(s: np.ndarray) -> DualMatrix:
     return DualMatrix(s[:, :4], s[:, 4:])
 
 
-def _walk_series(att: AttemptModel, p: ProtocolParams, acc: Accounting):
-    """(the walk's series [val | der], its term count) by dual_sum_truncated's
-    stop rule (at p.series_tol) and its 10**6-term guard."""
-    total, j, wait = np.zeros((4, 8)), 1, np.eye(4, 8)
-    while j <= 10**6:
-        ends, wait = _walk(att, p, acc, j, _BLOCK, wait)
-        small = np.max(np.abs(ends), axis=(1, 2)) < p.series_tol
-        small[0] &= j > 1
-        hits = np.flatnonzero(small)
-        n = hits[0] + 1 if hits.size else _BLOCK
-        total += ends[:n].sum(axis=0)
-        if hits.size:
-            return total, int(j - 1 + n)
-        j += _BLOCK
-    raise NonConvergenceError("series did not converge in 1000000 terms")
-
-
-def _recovery_walk(att: AttemptModel, p: ProtocolParams, acc: Accounting) -> DualMatrix:
-    """Wait for a delivered cumulative feedback after the ACK was erased.
+def _recovery_walk(att: AttemptModel, p: ProtocolParams, acc: Accounting):
+    """Wait for a delivered cumulative feedback after the ACK was erased:
+    the walk, and a bound on the error of its mean.
 
     Slot j >= 1 (the combining index) ends the walk with X0(j) and
-    continues it with X1(j), both charged z^e(j): every slot takes one
-    slot, and each timer expiry (j = d+1, d+1+T, ...) sends one
-    pointless retransmission.  A constant model sums the first d slots
-    and one T-slot period closed exactly with dual_geo, a varying one
-    the series of _walk_series.
+    continues it with X1(j).  The d-slot lead and blocks of whole T-slot
+    periods are each stepped from the identity, and dual_geo over a
+    block's last period closes the rest.  Rates never rise, so that
+    closure keeps the surviving mass and over-counts its future: its
+    future mean on the surviving mass bounds the error of the mean from
+    every start state (at z = 1).  The walk stops once the bound is at
+    most _CERTIFIED, or at once (bound 0) at the limit rates eps_B(inf).
     """
-    if not att.constant:
-        return _stacked(_walk_series(att, p, acc)[0])
-    lead, lead_wait = _walk(att, p, acc, 1, p.d, np.eye(4, 8))
-    period, wait = _walk(att, p, acc, p.d + 1, p.T, np.eye(4, 8))
-    tail = dual_mul(dual_geo(_stacked(wait)), _stacked(period.sum(axis=0)))
-    return dual_add(_stacked(lead.sum(axis=0)), dual_mul(_stacked(lead_wait), tail))
-
-
-def _arq_bracket(
-    ch: CompositeChannel, p: ProtocolParams, att: AttemptModel, acc: Accounting
-) -> DualMatrix:
-    """Feedback-resolution branch after a delivered packet: ACK, or recovery.
-
-    P00 + P01 walk, each feedback branch taking the feedback slot and no
-    packet.  The recovery walk closes a constant model over one T-slot
-    period.
-    """
-    head = acc.term(ch.P00, 0, 1)
-    return dual_add(head, dual_mul(acc.term(ch.P01, 0, 1), _recovery_walk(att, p, acc)))
+    total, wait, limit = np.zeros((4, 8)), np.eye(4, 8), att.eps_B(np.inf)
+    j, lead, per_block = p.d + 1, p.d, -(-_BLOCK // p.T)
+    while j <= 10**6:
+        exact = att.eps_B(j) == limit  # and so is every later rate
+        n = 1 if exact else per_block
+        steps = _steps(att, p, acc, j - lead, lead + n * p.T)
+        if lead:  # the lead ends a period of idle steps
+            steps = np.concatenate((np.repeat(_IDLE, p.T - lead, axis=0), steps))
+        ends, last = _chain(np.eye(4, 8), steps.reshape(-1, p.T, 8, 16).swapaxes(0, 1))
+        sums = ends.sum(axis=0)
+        kernels = _pack(sums, last)  # the lead and the periods, stepped side by side
+        ends, wait = _chain(wait, kernels[:-1])
+        total = total + ends.sum(axis=0)
+        tail = dual_mul(dual_geo(_stacked(last[-1])), _stacked(sums[-1]))
+        bound = 0.0 if exact else float((wait[:, :4] @ last[-1, :, :4] @ tail.der.sum(1)).max())
+        if bound <= _CERTIFIED:
+            return dual_add(_stacked(total), dual_mul(_stacked(wait), tail)), bound
+        ends, wait = _chain(wait, kernels[-1:])
+        total, j, lead = total + ends[0], j + n * p.T, 0
+    raise NonConvergenceError("recovery walk not certified in 1000000 slots")
 
 
 def _loop_gain(
@@ -255,8 +252,9 @@ def build_arq_mgf(
     # the first transmission, then k - 1 slots to its feedback
     prefix = acc.term(Pk, 1, p.k - 1)
     loop = dual_geo(_loop_gain(ch, p, acc, Pk, PT))
-    bracket = _arq_bracket(ch, p, att, acc)
-    return dual_mul(prefix, dual_mul(loop, bracket))
+    # the feedback (its slot, no packet): the ACK (P00), or an erased one (P01) and the walk
+    recovery = dual_mul(acc.term(ch.P01, 0, 1), _recovery_walk(att, p, acc)[0])
+    return dual_mul(prefix, dual_mul(loop, dual_add(acc.term(ch.P00, 0, 1), recovery)))
 
 
 def _metrics_from_mgfs(

@@ -274,12 +274,12 @@ def test_python_dash_m_gearq_runs_without_warnings(tmp_path):
         assert out.read_text().startswith(",".join(COLUMNS))
 
 
-def test_main_seed_and_tol_overrides(tmp_path):
+def test_main_seed_override(tmp_path):
     cfgfile = tmp_path / "sweep.cfg"
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
     cfgfile.write_text(BASIC.replace("mode = analytic", "mode = sim\nhorizon = 2000"))
-    args = ["sweep", "--config", str(cfgfile), "--seeds", "5,6", "--tol", "1e-13"]
+    args = ["sweep", "--config", str(cfgfile), "--seeds", "5,6"]
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_text() == out2.read_text()
@@ -298,10 +298,18 @@ def test_main_seed_and_tol_overrides(tmp_path):
         (BASIC + "gamma_over_rho = ten*eps\n", [], "gamma_over_rho"),
         (BASIC.replace("schemes = uncoded", "schemes = bogus"), [], "unknown scheme 'bogus'"),
         (BASIC + "T = 5\n", [], "config line 10: duplicate key 'T'"),
+        (BASIC + "tol = 1e-12\n", [], "unknown config key 'tol'"),
+        (BASIC.replace("eps = 0.1, 0.3", "eps ="), [], "'eps' needs at least one value"),
+        (BASIC.replace("T = 10", "T ="), [], "'T' needs at least one value"),
+        (BASIC.replace("schemes = uncoded", "schemes ="), [], "'schemes' needs at least one value"),
+        (BASIC.replace("schemes = uncoded", "schemes = coded, uncoded") + "M = 6\nN = 4\n", [],
+         "coded at T = 10: need T >= k >= M >= N >= 1"),
+        (BASIC.replace("T = 10", "T = 10, 3"), [], "uncoded at T = 3: need T >= k"),
     ],
     ids=["unknown-key", "bad-mode", "sim-without-seeds", "bad-value", "bad-seeds",
          "sim-override-without-seeds", "missing-file", "bad-gamma-rule", "unknown-scheme",
-         "duplicate-key"],
+         "duplicate-key", "tol-key", "empty-eps", "empty-T", "empty-schemes", "bad-frame-shape",
+         "timer-below-rtt"],
 )
 def test_main_config_errors_are_one_line(tmp_path, capsys, config, extra, message):
     cfgfile = tmp_path / "sweep.cfg"
@@ -316,3 +324,30 @@ def test_main_config_errors_are_one_line(tmp_path, capsys, config, extra, messag
     assert len(err) == 1 and err[0].startswith("gearq: error: ")
     assert message in err[0]
     assert not out.exists()
+
+
+def test_readme_config_table_matches_the_parser():
+    # the README's key table lists the keys the parser accepts (named by
+    # its unknown-key error), each with SweepConfig's default
+    import dataclasses
+    import re
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    documented = {}
+    for row in re.findall(r"^\| `.*\|$", readme, re.M):
+        keys_cell, _, default_cell = (c.strip() for c in row.strip("|").split("|"))
+        keys, defaults = re.findall(r"`([^`]+)`", keys_cell), re.findall(r"`([^`]+)`", default_cell)
+        assert default_cell == "required" or len(defaults) == len(keys), row
+        documented.update(zip(keys, defaults or [None] * len(keys)))
+    with pytest.raises(ValueError, match="unknown config key 'bogus': keys are ") as err:
+        parse_sweep_config(BASIC + "bogus = 1\n")
+    assert set(documented) == set(str(err.value).split("keys are ")[1].split(", "))
+    minimal = "eps = 0.3\nT = 10\nschemes = uncoded\n"
+    fields = {f.name: f for f in dataclasses.fields(SweepConfig)}
+    for key, default in documented.items():
+        field = fields["gamma_over_rho_rule" if key == "gamma_over_rho" else key]
+        if default is None:
+            assert field.default is dataclasses.MISSING, key
+        else:
+            cfg = parse_sweep_config(minimal + f"{key} = {default}\n")
+            assert getattr(cfg, field.name) == field.default, key

@@ -15,12 +15,14 @@ from gearq.genfunc import (
     dual_term,
     scalarize,
 )
+from gearq import protocols
 from gearq.protocols import (
-    _BLOCK,
     Accounting,
     AttemptModel,
     ProtocolParams,
-    _walk_series,
+    _recovery_walk,
+    _steps,
+    _chain,
     attempt_model_for,
     build_arq_mgf,
     harq_metrics,
@@ -304,14 +306,14 @@ def test_harq_matches_exhaustive_enumeration(eps, T, eps_G, eps_B):
     assert e_delay == pytest.approx(m.delay_mean, abs=2e-7)
 
 
-def reference_arq_mgf(ch, p, att, kind, z, terms=None):
+def reference_arq_mgf(ch, p, att, kind, z):
     """The ARQ MGF with the recovery built the older way, two constructions.
 
     tau: a d-slot pre-sum, then T-slot windows each entered by a
     pointless retransmission that costs one z (closed with dual_geo for
     a constant model, a series over windows otherwise).  delay: the
     per-slot series z^j (prod X1) X0, closed with dual_geo for a
-    constant model; `terms` gets the index of each of its terms summed.
+    constant model.
     """
 
     def presum(budget, base):
@@ -338,7 +340,7 @@ def reference_arq_mgf(ch, p, att, kind, z, terms=None):
                     prefix = dual_mul(prefix, dual_mul(retx, fail))
                     base += p.T
 
-            tail = dual_sum_truncated(windows(), tol=p.series_tol)
+            tail = dual_sum_truncated(windows(), tol=1e-15)
         recov = dual_add(pre, dual_mul(allfail, tail))
         bracket = dual_add(dual_term(ch.P00, 0, z), dual_mul(dual_term(ch.P01, 0, z), recov))
         loop = dual_add(
@@ -356,13 +358,11 @@ def reference_arq_mgf(ch, p, att, kind, z, terms=None):
                 prefix, j = dual_identity(4), 1
                 while True:
                     X0, X1 = att.observation(j)
-                    if terms is not None:
-                        terms.append(j)
                     yield dual_mul(prefix, dual_term(X0, 0, z))
                     prefix = dual_mul(prefix, dual_term(X1, 1, z))
                     j += 1
 
-            wait = dual_sum_truncated(series(), tol=p.series_tol)
+            wait = dual_sum_truncated(series(), tol=1e-15)
         bracket = dual_add(dual_term(ch.P00, 1, z), dual_mul(dual_term(ch.P01, 2, z), wait))
         loop = dual_add(
             dual_term(ch.P10 @ np.linalg.matrix_power(ch.Pc, p.k - 1), p.k, z),
@@ -392,21 +392,83 @@ def test_recovery_walk_matches_reference_constructions(k, T):
                             scheme, eps, kind, z)
 
 
-def test_walk_series_matches_reference_past_one_block():
-    # a slowly mixing channel with strong combining: the delay series runs
-    # past one block and stops at the reference's term
+def test_recovery_walk_matches_reference_past_one_block():
+    # a slowly mixing channel with strong combining: the walk is not
+    # certified after its first block and runs on
     ch = symmetric_composite(0.01, 0.0, 1.0, 0.3)
     p = harq_params(10, 30.0)
     att = attempt_model_for(ch, p)
     for kind in ("tau", "delay"):
         for z in (1.0, 0.99):
-            terms = []
             got = build_arq_mgf(ch, p, att, kind, z)
-            ref = reference_arq_mgf(ch, p, att, kind, z, terms)
+            ref = reference_arq_mgf(ch, p, att, kind, z)
             for a, b in ((got.val, ref.val), (got.der, ref.der)):
                 assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), (kind, z)
-            if kind == "delay":
-                assert _walk_series(att, p, Accounting(kind, z))[1] == terms[-1] > _BLOCK
+
+
+def walk_far(att, p, kind, slots=4000):
+    """(mass, mean) of each start state's recovery walk, summed slot by
+    slot far past where the certified walk stops."""
+    ends, _ = _chain(np.eye(4, 8), _steps(att, p, Accounting(kind), 1, slots))
+    total = ends.sum(axis=0)
+    return total[:, :4].sum(axis=1), total[:, 4:].sum(axis=1)
+
+
+def certified_points():
+    # the criterion-6 harq grid, the same at r = 0.01, and strong
+    # combining on a slowly mixing channel
+    for r in (0.3, 0.01):
+        for eps in (0.1, 0.3, 0.5):
+            for T in (5, 10):
+                yield symmetric_composite(r, 0.0, 1.0, eps), harq_params(T, 10 * eps)
+    yield symmetric_composite(0.01, 0.0, 1.0, 0.3), harq_params(10, 30.0)
+
+
+def test_recovery_walk_is_certified():
+    # the stop is certified: the bound is at most 1e-15 and at least the
+    # walk's distance from a reference summed far past it (up to the
+    # rounding of the two sums); the mass is exact
+    for ch, p in certified_points():
+        att = attempt_model_for(ch, p)
+        for kind in ("tau", "delay"):
+            walk, bound = _recovery_walk(att, p, Accounting(kind))
+            mass, mean = walk_far(att, p, kind)
+            assert bound <= 1e-15
+            err = np.abs(walk.der.sum(axis=1) - mean)
+            assert np.all(err <= bound + 1e-14 * mean.max()), (kind, err.max(), bound)
+            assert np.max(np.abs(walk.val.sum(axis=1) - mass)) <= 1e-14
+
+
+@pytest.mark.parametrize("certified", [1e-1, 1e-3, 1e-5, 1e-7, 1e-9])
+def test_recovery_walk_bound_holds_where_it_stops(monkeypatch, certified):
+    # stopped early (one period per block, a loose stop), the walk
+    # over-counts: its mean lies between the far-summed reference and
+    # the reference plus the reported bound
+    monkeypatch.setattr(protocols, "_BLOCK", 1)
+    monkeypatch.setattr(protocols, "_CERTIFIED", certified)
+    slow = symmetric_composite(0.01, 0.0, 1.0, 0.3)
+    cases = [
+        (slow, harq_params(5, 30.0), None),
+        (slow, harq_params(10, 30.0), None),
+        (channel(0.5), harq_params(5, 5.0), None),
+        (slow, harq_params(5, 1.0), lambda m: 0.5 + 0.5 / m),  # falls to a limit above 0
+    ]
+    for ch, p, eps_B in cases:
+        att = attempt_model_for(ch, p) if eps_B is None else AttemptModel(ch, eps_B)
+        for kind in ("tau", "delay"):
+            walk, bound = _recovery_walk(att, p, Accounting(kind))
+            _, mean = walk_far(att, p, kind)
+            over = walk.der.sum(axis=1) - mean
+            slack = 1e-13 * mean.max()
+            assert bound <= certified
+            assert np.all(over >= -slack) and np.all(over <= bound + slack), (p.T, kind, over, bound)
+
+
+def test_recovery_rates_that_rise_are_named():
+    ch, p = channel(0.3), harq_params(10, 3.0)
+    rising = AttemptModel(ch, lambda m: np.minimum(0.9, 0.1 + m / 100.0))
+    with pytest.raises(ParameterError, match="rates rise along the combining index"):
+        build_arq_mgf(ch, p, rising, "delay")
 
 
 @pytest.mark.parametrize("build", ["arq", "coded", "graph"])
