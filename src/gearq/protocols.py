@@ -151,12 +151,14 @@ class AttemptModel:
 def _steps(att: AttemptModel, p: ProtocolParams, acc: Accounting, j: int, n: int) -> np.ndarray:
     """Slots j..j+n-1 of the walk as _pack steps of X0 (end) and X1 (wait on, never rising),
     charged z^e(i): a slot, or a packet per timer expiry (slots d+1, d+1+T, ..., none before)."""
-    i = np.arange(j, j + n)
+    i = np.arange(max(j - 1, 1), j + n)  # and the last call's last slot: a rise between calls shows
+    X0, X1 = att.observation(i)
+    rises = (X1[1:] > X1[:-1]).any(axis=(-2, -1))
+    if rises.any():
+        raise ParameterError(f"recovery rates rise along the combining index at {i[1:][rises][0]}")
+    X0, X1, i = X0[-n:], X1[-n:], i[-n:]
     e, z = acc.power(((i - p.d - 1) % p.T == 0) * 1.0, np.ones(n)), acc.z
     c, dc = (z**e)[:, None, None], (e * z ** (e - 1))[:, None, None]
-    X0, X1 = att.observation(i)
-    if (X1[1:] > X1[:-1]).any():
-        raise ParameterError(f"recovery rates rise along the combining index after {j}")
     return _pack(*(np.concatenate((c * X, dc * X), axis=-1) for X in (X0, X1)))
 
 

@@ -1,190 +1,171 @@
-"""Exact protocol expectations by state enumeration.
+"""Exact protocol expectations from the absorbing Markov chain of the per-slot rules.
 
-Walks every protocol path over the joint chain with exact probabilities,
-merging states and carrying (weight, weight*tau) aggregates, until the
-surviving mass drops below tolerance.  Implements the same per-slot
-event order as the simulator; serves as an independent oracle for both
-the analytic kernels and the Monte Carlo path.
+Each scheme states its rules as one slot's moves from a protocol state,
+moves(state) -> [(prob, next state or None when the episode ends, packets
+sent)], in the per-slot event order of the simulator.  solve() finds every
+reachable state by breadth-first search, builds the substochastic one-slot
+matrix Q, the absorption vector and the packets sent per slot, and solves
+(I - Q) x = r once (the fundamental matrix; Kemeny & Snell, Finite Markov
+Chains, ch. III).  The absorbed mass, E[tau] and E[slots] it returns are
+exact up to rounding: no time loop, no truncation.
+
+HARQ's combining index is unbounded, so its state keeps the index only up
+to J.  harq() solves twice, with the rates past J frozen at 0 and at the
+rates of J.  Rates never rise along the index, and a lower erasure rate
+never lengthens an episode (monotone coupling), so the two solves bracket
+the exact values.
+
+Shares no code with the analysis or the simulator: an independent oracle
+for both.
 """
 from __future__ import annotations
-
-from collections import defaultdict
 
 import numpy as np
 
 FAR = 10**9
+J = 40  # the combining index HARQ's state keeps; past it the rates are frozen
 
 
-def enumerate_arq(ch, p, recovery_rate, tol: float = 1e-11, max_slots: int = 4000):
-    """(absorbed_mass, E[tau], E[delay]) for the single-packet schemes.
+def solve(starts, moves):
+    """(absorbed mass, E[tau], E[slots]) of the chain from `starts`, [(prob, state)]."""
+    index, rows = {}, []
+    for _, s in starts:
+        index.setdefault(s, len(index))
+    order = list(index)
+    for s in order:  # breadth-first: the loop reaches the states appended as they are found
+        row = [m for m in moves(s) if m[0] > 0.0]
+        rows.append(row)
+        for _, s2, _ in row:
+            if s2 is not None and s2 not in index:
+                index[s2] = len(order)
+                order.append(s2)
+    n = len(order)
+    Q, r = np.zeros((n, n)), np.zeros((n, 3))  # r: absorbed, packets, slots per slot
+    r[:, 2] = 1.0
+    for i, row in enumerate(rows):
+        for prob, s2, packets in row:
+            r[i, 1] += prob * packets
+            if s2 is None:
+                r[i, 0] += prob
+            else:
+                Q[i, index[s2]] += prob
+    start = np.zeros(n)
+    for prob, s in starts:
+        start[index[s]] += prob
+    return tuple(start @ np.linalg.solve(np.eye(n) - Q, r))
 
-    `recovery_rate(ri, rev_state)` gives the erasure probability of the
-    ri-th cumulative feedback after a lost acknowledgment (the combining
-    index rides in the enumeration state).
+
+def _channel(ch):
+    """The composite chain, both links' erasure rates by state, the start states' weights."""
+    eps_f = (ch.fwd.eps_G, ch.fwd.eps_B)
+    eps_r = (ch.rev.eps_G, ch.rev.eps_B)
+    pi0 = ch.pi_I / ch.pi_I.sum()
+    return ch.Pc, eps_f, eps_r, pi0
+
+
+def _arq(ch, p, rate, cap):
+    """(mass, E[tau], E[delay]) of a single-packet scheme.
+
+    `rate(m, rev_state)` is the erasure rate of the m-th cumulative
+    feedback after a lost acknowledgment; the state keeps m up to `cap`
+    (0 for a constant rate).
     """
     k, T, d = p.k, p.T, p.d
-    Pc = ch.Pc
-    eps_f = np.array([ch.fwd.eps_G, ch.fwd.eps_B])
-    eps_r = np.array([ch.rev.eps_G, ch.rev.eps_B])
-    pi0 = ch.pi_I / ch.pi_I.sum()
-
+    Pc, eps_f, eps_r, pi0 = _channel(ch)
     WAIT, RECOV = 0, 1
-    # state: (chain, mode, cd, ecd, ri); cd slots to the own observation
-    states = defaultdict(lambda: [0.0, 0.0])
-    for c in range(4):
-        if pi0[c] > 0:
-            states[(c, WAIT, k, 0, 0)][0] += pi0[c]
-    e_tau = 0.0
-    e_delay = 0.0
-    absorbed = 0.0
 
-    for t in range(1, max_slots + 1):
-        nxt = defaultdict(lambda: [0.0, 0.0])
-        for (c, mode, cd, ecd, ri), (w, wt) in states.items():
-            for c2 in range(4):
-                p_chain = Pc[c, c2]
-                if p_chain == 0.0:
-                    continue
-                if mode == WAIT and cd > 1:
-                    cell = nxt[(c2, WAIT, cd - 1, 0, 0)]
-                    cell[0] += w * p_chain
-                    cell[1] += wt * p_chain
-                    continue
-                if mode == WAIT:                      # own observation slot
-                    ef = eps_f[c2 // 2]
-                    er = eps_r[c2 % 2]
-                    for p_f, fwd_ok in ((1.0 - ef, True), (ef, False)):
-                        for p_r, rev_ok in ((1.0 - er, True), (er, False)):
-                            pr = p_chain * p_f * p_r
-                            if pr == 0.0:
-                                continue
-                            w2, wt2 = w * pr, wt * pr
-                            if fwd_ok and rev_ok:
-                                absorbed += w2
-                                e_tau += wt2
-                                e_delay += w2 * t
-                            elif fwd_ok:
-                                if d > 0:
-                                    nxt[(c2, RECOV, 0, d, 0)][0] += w2
-                                    nxt[(c2, RECOV, 0, d, 0)][1] += wt2
-                                else:
-                                    cell = nxt[(c2, RECOV, 0, T, 0)]
-                                    cell[0] += w2
-                                    cell[1] += wt2 + w2
-                            elif rev_ok:
-                                cell = nxt[(c2, WAIT, k, 0, 0)]
-                                cell[0] += w2
-                                cell[1] += wt2 + w2
-                            else:
-                                cell = nxt[(c2, WAIT, T, 0, 0)]
-                                cell[0] += w2
-                                cell[1] += wt2 + w2
-                    continue
-                # recovery slot: the ri-th cumulative feedback since the loss
-                ri2 = ri + 1
-                er = recovery_rate(ri2, c2 % 2)
-                for p_r, rev_ok in ((1.0 - er, True), (er, False)):
-                    pr = p_chain * p_r
-                    if pr == 0.0:
-                        continue
-                    w2, wt2 = w * pr, wt * pr
-                    if rev_ok:
-                        absorbed += w2
-                        e_tau += wt2
-                        e_delay += w2 * t
-                    elif ecd > 1:
-                        cell = nxt[(c2, RECOV, 0, ecd - 1, ri2)]
-                        cell[0] += w2
-                        cell[1] += wt2
-                    else:
-                        cell = nxt[(c2, RECOV, 0, T, ri2)]
-                        cell[0] += w2
-                        cell[1] += wt2 + w2
-        states = nxt
-        if sum(v[0] for v in states.values()) < tol:
-            break
-    # the initial transmission itself
-    return absorbed, e_tau + absorbed, e_delay
+    # state: (chain, mode, cd, m); cd slots to the own observation (WAIT) or
+    # to the timer expiry (RECOV), m recovery slots so far
+    def moves(state):
+        c, mode, cd, m = state
+        out = []
+        for c2 in range(4):
+            pc = Pc[c, c2]
+            if mode == WAIT and cd > 1:
+                out.append((pc, (c2, WAIT, cd - 1, 0), 0))
+            elif mode == WAIT:  # own observation slot
+                ef, er = eps_f[c2 // 2], eps_r[c2 % 2]
+                out += [
+                    (pc * (1 - ef) * (1 - er), None, 0),
+                    (pc * (1 - ef) * er, (c2, RECOV, d if d > 0 else T, 0), 0 if d > 0 else 1),
+                    (pc * ef * (1 - er), (c2, WAIT, k, 0), 1),
+                    (pc * ef * er, (c2, WAIT, T, 0), 1),
+                ]
+            else:  # recovery slot: the (m+1)-th cumulative feedback since the loss
+                er, m2 = rate(m + 1, c2 % 2), min(m + 1, cap)
+                wait = (c2, RECOV, cd - 1 if cd > 1 else T, m2)
+                out += [(pc * (1 - er), None, 0), (pc * er, wait, 0 if cd > 1 else 1)]
+        return out
+
+    starts = [(pi0[c], (c, WAIT, k, 0)) for c in range(4) if pi0[c] > 0]
+    mass, tau, slots = solve(starts, moves)
+    return mass, tau + mass, slots  # and the first transmission
 
 
-def enumerate_coded(ch, p, tol: float = 1e-11, max_slots: int = 2000):
-    """Returns (absorbed_mass, E[tau], E[delay]) for the coded scheme."""
+def uncoded(ch, p):
+    """(mass, E[tau], E[delay]) of uncoded ARQ: recovery at the nominal rates."""
+    return _arq(ch, p, lambda m, s: (ch.rev.eps_G, ch.rev.eps_B)[s], 0)
+
+
+def harq(ch, p, rates):
+    """The (mass, E[tau], E[delay]) of the chains with `rates(m)` (the
+    reverse (eps_G, eps_B) at combining index m) frozen past J at 0 and at
+    rates(J): a (low, high) bracket of the exact values."""
+
+    def frozen(scale):
+        return lambda m, s: float(rates(min(m, J))[s]) * (1.0 if m <= J else scale)
+
+    return tuple(_arq(ch, p, frozen(scale), J + 1) for scale in (0.0, 1.0))
+
+
+def coded(ch, p):
+    """(mass, E[tau], E[delay]) of the coded scheme, tau per frame."""
     k, T, M, N = p.k, p.T, p.M, p.N
-    Pc = ch.Pc
-    eps_f = np.array([ch.fwd.eps_G, ch.fwd.eps_B])
-    eps_r = np.array([ch.rev.eps_G, ch.rev.eps_B])
-    pi0 = ch.pi_I / ch.pi_I.sum()
+    Pc, eps_f, eps_r, pi0 = _channel(ch)
 
     # state: (chain, c_rx, c_ack, cnt_rem, sched_in, sched_len, obs_in, exp_in)
     # counters are slots-until-event relative to the current slot, FAR if unset
-    states = defaultdict(lambda: [0.0, 0.0])
-    for c in range(4):
-        if pi0[c] > 0:
-            key = (c, 0, 0, 0, k, M, FAR, k + T)
-            states[key][0] += pi0[c]
-    e_tau = 0.0
-    e_delay = 0.0
-    absorbed = 0.0
+    def moves(state):
+        c, c_rx, c_ack, cnt, sched, slen, obs, expiry = state
+        out = []
+        for c2 in range(4):
+            pc = Pc[c, c2]
+            sched2 = sched - 1 if sched != FAR else FAR
+            obs2 = obs - 1 if obs != FAR else FAR
+            exp2 = expiry - 1 if expiry != FAR else FAR
+            cnt2, slen2 = cnt, slen
+            if sched2 == 0:
+                cnt2, obs2, sched2 = slen, slen - 1, FAR
+            if exp2 == 0:
+                length = M if c_ack == 0 else 1
+                cnt2, obs2, exp2 = length, length - 1, T
+            ef, er = eps_f[c2 // 2], eps_r[c2 % 2]
+            fwd_opts = [(1.0, 0, 0)] if cnt2 == 0 else [(1.0 - ef, 1, 1), (ef, 1, 0)]
+            for p_f, dtau, drx in fwd_opts:
+                rx = min(c_rx + drx, N)
+                rem = cnt2 - 1 if cnt2 > 0 else 0
+                for p_r, delivered in ((1.0 - er, True), (er, False)):
+                    prob = pc * p_f * p_r
+                    ack, cnt3, sched3, slen3, obs3, exp3 = c_ack, rem, sched2, slen2, obs2, exp2
+                    extra = 0
+                    if delivered and rem == 0:
+                        if rx > c_ack:
+                            # charge repairs already committed in the RTT
+                            if exp3 != FAR and 0 < exp3 < k:
+                                extra = min(k - exp3, M if c_ack == 0 else 1)
+                            if rx == N:
+                                out.append((prob, None, dtau + extra))
+                                continue
+                            ack = rx
+                            cnt3, sched3, slen3 = 0, k, 1
+                            obs3, exp3 = FAR, k + T
+                        elif obs3 == 0:
+                            sched3, slen3 = k, M if c_ack == 0 else 1
+                            obs3, exp3 = FAR, k + T
+                    if obs3 == 0:
+                        obs3 = FAR
+                    out.append((prob, (c2, rx, ack, cnt3, sched3, slen3, obs3, exp3), dtau + extra))
+        return out
 
-    for t in range(1, max_slots + 1):
-        nxt = defaultdict(lambda: [0.0, 0.0])
-        for (c, c_rx, c_ack, cnt, sched, slen, obs, expiry), (w, wt) in states.items():
-            for c2 in range(4):
-                p_chain = Pc[c, c2]
-                if p_chain == 0.0:
-                    continue
-                sched2 = sched - 1 if sched != FAR else FAR
-                obs2 = obs - 1 if obs != FAR else FAR
-                exp2 = expiry - 1 if expiry != FAR else FAR
-                cnt2, slen2 = cnt, slen
-                if sched2 == 0:
-                    cnt2, obs2, sched2 = slen, slen - 1, FAR
-                if exp2 == 0:
-                    length = M if c_ack == 0 else 1
-                    cnt2, obs2, exp2 = length, length - 1, T
-                ef = eps_f[c2 // 2]
-                er = eps_r[c2 % 2]
-                fwd_opts = [(1.0, 0, 0)] if cnt2 == 0 else [
-                    (1.0 - ef, 1, 1), (ef, 1, 0)
-                ]
-                for p_f, dtau, drx in fwd_opts:
-                    if p_f == 0.0:
-                        continue
-                    rx = min(c_rx + drx, N)
-                    rem = cnt2 - 1 if cnt2 > 0 else 0
-                    for p_r, delivered in ((1.0 - er, True), (er, False)):
-                        if p_r == 0.0:
-                            continue
-                        pr = p_chain * p_f * p_r
-                        w2 = w * pr
-                        wt2 = (wt + w * dtau) * pr
-                        ack, cnt3, sched3, slen3, obs3, exp3 = (
-                            c_ack, rem, sched2, slen2, obs2, exp2
-                        )
-                        extra = 0.0
-                        if delivered and rem == 0:
-                            if rx > c_ack:
-                                # charge repairs already committed in the RTT
-                                if exp3 != FAR and 0 < exp3 < k:
-                                    extra = min(k - exp3, M if c_ack == 0 else 1)
-                                if rx == N:
-                                    absorbed += w2
-                                    e_tau += wt2 + w2 * extra
-                                    e_delay += w2 * t
-                                    continue
-                                ack = rx
-                                cnt3, sched3, slen3 = 0, k, 1
-                                obs3, exp3 = FAR, k + T
-                            elif obs3 == 0:
-                                sched3, slen3 = k, M if c_ack == 0 else 1
-                                obs3, exp3 = FAR, k + T
-                        if obs3 == 0:
-                            obs3 = FAR
-                        key = (c2, rx, ack, cnt3, sched3, slen3, obs3, exp3)
-                        cell = nxt[key]
-                        cell[0] += w2
-                        cell[1] += wt2 + w2 * extra
-        states = nxt
-        if sum(v[0] for v in states.values()) < tol:
-            break
-    return absorbed, e_tau, e_delay
+    starts = [(pi0[c], (c, 0, 0, 0, k, M, FAR, k + T)) for c in range(4) if pi0[c] > 0]
+    return solve(starts, moves)

@@ -6,7 +6,7 @@ from gearq.channel import symmetric_composite
 from gearq.coded import _shift_down, _shift_up, coded_metrics, default_coded_kernel
 from gearq.protocols import ProtocolParams, uncoded_metrics
 
-from exhaustive import enumerate_coded
+import exhaustive
 
 
 def channel(eps):
@@ -113,23 +113,32 @@ def test_normalization_and_frame_bounds_on_grid():
             assert m.delay_mean >= 5.0
 
 
-@pytest.mark.parametrize("eps,k,T,M,N", [
-    (0.6, 3, 3, 3, 2),
-    (0.6, 3, 4, 3, 2),
-    (0.3, 3, 4, 3, 2),
-    (0.6, 5, 10, 4, 2),
-    (0.3, 4, 4, 4, 3),
-    (0.5, 4, 6, 3, 3),
-])
-def test_kernel_matches_exhaustive_enumeration(eps, k, T, M, N):
-    # exact path enumeration of the protocol rules: the strongest oracle
-    # the frame machine has, independent of both the kernel algebra and
-    # the Monte Carlo sampling
-    ch = symmetric_composite(0.3, 0.0, 1.0, eps)
+PLAIN = (0.3, 0.0, 1.0)  # the channel's (r, eps_G, eps_B)
+
+
+@pytest.mark.parametrize(
+    "link,eps,k,T,M,N",
+    [
+        (PLAIN, 0.6, 3, 3, 3, 2), (PLAIN, 0.6, 3, 4, 3, 2), (PLAIN, 0.3, 3, 4, 3, 2),
+        (PLAIN, 0.6, 5, 10, 4, 2), (PLAIN, 0.3, 4, 4, 4, 3), (PLAIN, 0.5, 4, 6, 3, 3),
+        (PLAIN, 0.5, 3, 3, 3, 3), (PLAIN, 0.5, 1, 1, 1, 1), (PLAIN, 0.5, 5, 5, 5, 1),
+        (PLAIN, 0.3, 5, 10, 5, 4), ((0.3, 0.1, 0.9), 0.4, 4, 6, 3, 3), ((0.03, 0.0, 1.0), 0.3, 5, 10, 5, 4),
+    ],
+    ids=[
+        "0.6-3-3-3-2", "0.6-3-4-3-2", "0.3-3-4-3-2", "0.6-5-10-4-2", "0.3-4-4-4-3", "0.5-4-6-3-3",
+        "0.5-3-3-3-3", "0.5-1-1-1-1", "0.5-5-5-5-1", "0.3-5-10-5-4", "eps_G0.1-0.4-4-6-3-3",
+        "r0.03-0.3-5-10-5-4",
+    ],
+)
+def test_kernel_matches_exhaustive_enumeration(link, eps, k, T, M, N):
+    # the exact absorbing-chain solve of the protocol rules: the strongest
+    # oracle the frame machine has, independent of both the kernel algebra
+    # and the Monte Carlo sampling
+    ch = symmetric_composite(*link, eps)
     p = ProtocolParams(k=k, T=T, scheme="coded", M=M, N=N)
-    mass, e_tau, e_delay = enumerate_coded(ch, p, tol=1e-11)
+    mass, e_tau, e_delay = exhaustive.coded(ch, p)
     m = coded_metrics(ch, p)
-    assert mass == pytest.approx(1.0, abs=1e-9)
-    assert e_tau == pytest.approx(m.frame_tau_mean, abs=2e-8)
-    assert e_delay == pytest.approx(m.delay_mean, abs=2e-7)
+    assert mass == pytest.approx(1.0, abs=1e-12)
+    assert e_tau == pytest.approx(m.frame_tau_mean, rel=1e-11, abs=0)
+    assert e_delay == pytest.approx(m.delay_mean, rel=1e-11, abs=0)
 

@@ -29,6 +29,8 @@ from gearq.protocols import (
     uncoded_metrics,
 )
 
+import exhaustive
+
 EPS_GRID = [round(0.05 * i, 2) for i in range(1, 13)]
 
 
@@ -269,41 +271,50 @@ def test_harq_state_B_rule_caps_at_the_nominal_rate():
         assert np.array_equal(a.val, b.val) and np.array_equal(a.der, b.der)
 
 
-@pytest.mark.parametrize("eps,T", [(0.3, 10), (0.5, 5), (0.6, 20)])
-def test_uncoded_matches_exhaustive_enumeration(eps, T):
-    from exhaustive import enumerate_arq
-
-    ch = channel(eps)
-    p = ProtocolParams(k=5, T=T)
-    eps_r = np.array([ch.rev.eps_G, ch.rev.eps_B])
-    mass, e_tau, e_delay = enumerate_arq(ch, p, lambda ri, st: eps_r[st])
-    m = uncoded_metrics(ch, p)
-    assert mass == pytest.approx(1.0, abs=1e-9)
-    assert e_tau == pytest.approx(m.tau_mean, abs=2e-8)
-    assert e_delay == pytest.approx(m.delay_mean, abs=2e-7)
+# single-packet shapes for the exact oracle: k = 1, T = k (d = 0), eps_G > 0
+ORACLE_EDGES = [(0.3, 1, 1, 0.0, 1.0), (0.3, 1, 4, 0.0, 1.0), (0.3, 5, 5, 0.0, 1.0), (0.4, 5, 10, 0.1, 0.9)]
+ORACLE_EDGE_IDS = ["k1-T1", "k1-T4", "d0-0.3-5", "eps_G0.1-0.4-10"]
 
 
 @pytest.mark.parametrize(
-    "eps,T,eps_G,eps_B",
-    [
-        (0.3, 10, 0.0, 1.0), (0.5, 5, 0.0, 1.0), (0.1, 10, 0.0, 1.0), (0.4, 10, 0.1, 0.9),
-        (0.3, 5, 0.0, 0.5), (0.4, 10, 0.0, 0.6),
-    ],
-    ids=["0.3-10", "0.5-5", "0.1-10", "eps_G0.1-0.4-10", "eps_B0.5-0.3-5", "eps_B0.6-0.4-10"],
+    "eps,k,T,eps_G,eps_B",
+    [(0.3, 5, 10, 0.0, 1.0), (0.5, 5, 5, 0.0, 1.0), (0.6, 5, 20, 0.0, 1.0)] + ORACLE_EDGES,
+    ids=["0.3-10", "0.5-5", "0.6-20"] + ORACLE_EDGE_IDS,
 )
-def test_harq_matches_exhaustive_enumeration(eps, T, eps_G, eps_B):
-    # exact oracle for the combining recovery, index continuing across
-    # timer expiries; the per-state rates come from the scheme's model
-    from exhaustive import enumerate_arq
-
+def test_uncoded_matches_exhaustive_enumeration(eps, k, T, eps_G, eps_B):
+    # the exact absorbing-chain solve of the per-slot protocol rules
     ch = symmetric_composite(0.3, eps_G, eps_B, eps)
-    p = harq_params(T, 10 * eps)
-    att = attempt_model_for(ch, p)
-    mass, e_tau, e_delay = enumerate_arq(ch, p, lambda ri, st: att.rates(ri)[st])
+    p = ProtocolParams(k=k, T=T)
+    mass, e_tau, e_delay = exhaustive.uncoded(ch, p)
+    m = uncoded_metrics(ch, p)
+    assert mass == pytest.approx(1.0, abs=1e-12)
+    assert e_tau == pytest.approx(m.tau_mean, rel=1e-12, abs=0)
+    assert e_delay == pytest.approx(m.delay_mean, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize(
+    "eps,k,T,eps_G,eps_B",
+    [
+        (0.3, 5, 10, 0.0, 1.0), (0.5, 5, 5, 0.0, 1.0), (0.1, 5, 10, 0.0, 1.0), (0.4, 5, 10, 0.1, 0.9),
+        (0.3, 5, 5, 0.0, 0.5), (0.4, 5, 10, 0.0, 0.6),
+    ] + ORACLE_EDGES[:3],
+    ids=["0.3-10", "0.5-5", "0.1-10", "eps_G0.1-0.4-10", "eps_B0.5-0.3-5", "eps_B0.6-0.4-10"]
+    + ORACLE_EDGE_IDS[:3],
+)
+def test_harq_matches_exhaustive_enumeration(eps, k, T, eps_G, eps_B):
+    # exact oracle for the combining recovery, index continuing across
+    # timer expiries; the per-state rates come from the scheme's model.
+    # The oracle brackets the exact values (rates frozen past its cut).
+    ch = symmetric_composite(0.3, eps_G, eps_B, eps)
+    p = ProtocolParams(k=k, T=T, scheme="harq", gamma_over_rho=10 * eps)
+    low, high = exhaustive.harq(ch, p, attempt_model_for(ch, p).rates)
     m = harq_metrics(ch, p)
-    assert mass == pytest.approx(1.0, abs=1e-9)
-    assert e_tau == pytest.approx(m.tau_mean, abs=2e-8)
-    assert e_delay == pytest.approx(m.delay_mean, abs=2e-7)
+    assert low[0] == pytest.approx(1.0, abs=1e-12) and high[0] == pytest.approx(1.0, abs=1e-12)
+    for i, (name, value) in enumerate((("tau", m.tau_mean), ("delay", m.delay_mean)), start=1):
+        width = (high[i] - low[i]) / value
+        print(f"{name} bracket width {width:.1e}")  # shown by pytest -rP
+        assert abs(width) <= 1e-12, f"{name} bracket width {width:.1e}"  # rounding may flip its sign
+        assert low[i] * (1 - 1e-12) <= value <= high[i] * (1 + 1e-12), name
 
 
 def reference_arq_mgf(ch, p, att, kind, z):
@@ -469,6 +480,13 @@ def test_recovery_rates_that_rise_are_named():
     rising = AttemptModel(ch, lambda m: np.minimum(0.9, 0.1 + m / 100.0))
     with pytest.raises(ParameterError, match="rates rise along the combining index"):
         build_arq_mgf(ch, p, rising, "delay")
+    # a rise at the first slot of the walk's second block, on a slowly
+    # mixing channel whose walk needs that block
+    first_block = p.d + -(-protocols._BLOCK // p.T) * p.T
+    slow = symmetric_composite(0.01, 0.0, 1.0, 0.3)
+    step = AttemptModel(slow, lambda m: np.where(m <= first_block, 0.98, 0.99))
+    with pytest.raises(ParameterError, match=f"rates rise along the combining index at {first_block + 1}"):
+        build_arq_mgf(slow, p, step, "delay")
 
 
 @pytest.mark.parametrize("build", ["arq", "coded", "graph"])
