@@ -206,6 +206,8 @@ def build_composite(fwd: HalfChannel, rev: HalfChannel) -> CompositeChannel:
     )
 
 
+# Cached like build_half_channel: a CompositeChannel is immutable too.
+@lru_cache(maxsize=128, typed=True)
 def symmetric_composite(r: float, eps_G: float, eps_B: float, eps: float) -> CompositeChannel:
     """Composite channel with identical forward and reverse parameters."""
     half = build_half_channel(r, eps_G, eps_B, eps)

@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 
-from .channel import build_composite, build_half_channel
+from .channel import build_half_channel, symmetric_composite
 from .coded import coded_metrics
 from .protocols import SCHEMES, Metrics, ProtocolParams, harq_metrics, uncoded_metrics
 from .sim import SimConfig, pooled_estimate, simulate
@@ -55,8 +55,11 @@ class SweepConfig:
             raise ValueError(f"unknown scheme {unknown[0]!r}: schemes are {', '.join(SCHEMES)}")
         if self.mode not in ("analytic", "sim", "both"):
             raise ValueError(f"mode must be analytic, sim or both, not {self.mode!r}")
-        if self.mode != "analytic" and not self.seeds:
-            raise ValueError(f"a {self.mode} sweep needs at least one seed")
+        if self.mode != "analytic":
+            if not self.seeds:
+                raise ValueError(f"a {self.mode} sweep needs at least one seed")
+            for seed in self.seeds:
+                SimConfig.check(seed, self.horizon)
         try:
             ok = 0.0 <= self.gamma_over_rho(1.0) < math.inf
         except ValueError:
@@ -148,8 +151,7 @@ def _params(cfg: SweepConfig, scheme: str, eps: float, T: int) -> ProtocolParams
 
 
 def _analytic_point(cfg: SweepConfig, scheme: str, eps: float, T: int) -> Metrics:
-    half = build_half_channel(cfg.r, cfg.eps_G, cfg.eps_B, eps)
-    ch = build_composite(half, half)
+    ch = symmetric_composite(cfg.r, cfg.eps_G, cfg.eps_B, eps)
     p = _params(cfg, scheme, eps, T)
     if scheme == "uncoded":
         return uncoded_metrics(ch, p)

@@ -31,13 +31,18 @@ _ROUNDING = 1e-13
 
 @dataclass(frozen=True)
 class DualMatrix:
-    """Value and first z-derivative of a matrix-valued function at one point."""
+    """Value and first z-derivative of a matrix-valued function at one point.
+
+    For a function of several z's, der carries a leading direction axis:
+    der[i] is the derivative in the i-th z.  dual_add, dual_mul and
+    dual_geo broadcast over it.
+    """
 
     val: np.ndarray
     der: np.ndarray
 
     def __post_init__(self):
-        if self.val.shape != self.der.shape:
+        if self.der.shape[-2:] != self.val.shape:
             raise ValueError("val and der shapes differ")
 
     @property

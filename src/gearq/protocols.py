@@ -8,16 +8,20 @@ feedback.  The recovery draws its reverse erasure rates from one
 AttemptModel: the uncoded scheme is its constant sequence at the nominal
 rate, soft combining a rate that falls with the combining index.
 
-Both MGFs are one construction.  Every branch gain states how many
-packets it transmits and how many slots it takes; Accounting, built once
-per MGF, lets z count the packets (the transmission-time MGF, kind
-"tau") or the slots (the delay MGF, kind "delay").  Feedback for the
-packet sent in slot t arrives in slot t+k, so an error-free first
-exchange has delay k.  The recovery is one per-slot walk: each slot
-takes one slot, and each timer expiry sends one packet (the pointless
-retransmission).  One blocked kernel steps it, values and z-derivatives
-stacked side by side, and a closure over its last T-slot period ends it
-with a certified bound on the error of its mean (_recovery_walk).
+Both MGFs come from one traversal.  Every branch gain states how many
+packets it transmits and how many slots it takes, and is marked
+z_packets**packets * z_slots**slots; at z = (1, 1) the transmission-time
+MGF (its mean counts packets) and the delay MGF (slots) share every
+value matrix, so one traversal that carries the derivative in each z
+gives both means (_arq_mgf).  build_arq_mgf views one of them, kind
+"tau" or "delay", through Accounting; coded frames and the flow graph
+still build one kind per call.  Feedback for the packet sent in slot t
+arrives in slot t+k, so an error-free first exchange has delay k.  The
+recovery is one per-slot walk: each slot takes one slot, and each timer
+expiry sends one packet (the pointless retransmission).  One blocked
+kernel steps it, the values and both z-derivatives stacked side by side,
+and a closure over its last T-slot period ends it with a certified bound
+on the error of both means (_recovery_walk).
 """
 from __future__ import annotations
 
@@ -148,73 +152,90 @@ class AttemptModel:
         return (1.0 - eg) * KG + (1.0 - eb) * KB, eg * KG + eb * KB
 
 
-def _steps(att: AttemptModel, p: ProtocolParams, acc: Accounting, j: int, n: int) -> np.ndarray:
+def _weights(packets, slots, z):
+    """z_packets**packets * z_slots**slots at z = (z_packets, z_slots), then
+    its derivative in each; numbers, or arrays of per-slot counts."""
+    zp, zs = z
+    value = zp**packets * zs**slots
+    return value, packets * zp ** (packets - 1) * zs**slots, slots * zp**packets * zs ** (slots - 1)
+
+
+def _term(coeff: np.ndarray, packets: int, slots: int, z) -> DualMatrix:
+    """Branch gain coeff * z_packets**packets * z_slots**slots as a dual in both counts."""
+    c, dp, ds = _weights(packets, slots, z)
+    return DualMatrix(c * coeff, np.multiply.outer((dp, ds), coeff))
+
+
+def _steps(att: AttemptModel, p: ProtocolParams, z, j: int, n: int) -> np.ndarray:
     """Slots j..j+n-1 of the walk as _pack steps of X0 (end) and X1 (wait on, never rising),
-    charged z^e(i): a slot, or a packet per timer expiry (slots d+1, d+1+T, ..., none before)."""
+    each a slot and, at a timer expiry (slots d+1, d+1+T, ..., none before), a packet."""
     i = np.arange(max(j - 1, 1), j + n)  # and the last call's last slot: a rise between calls shows
     X0, X1 = att.observation(i)
     rises = (X1[1:] > X1[:-1]).any(axis=(-2, -1))
     if rises.any():
         raise ParameterError(f"recovery rates rise along the combining index at {i[1:][rises][0]}")
     X0, X1, i = X0[-n:], X1[-n:], i[-n:]
-    e, z = acc.power(((i - p.d - 1) % p.T == 0) * 1.0, np.ones(n)), acc.z
-    c, dc = (z**e)[:, None, None], (e * z ** (e - 1))[:, None, None]
-    return _pack(*(np.concatenate((c * X, dc * X), axis=-1) for X in (X0, X1)))
+    w = np.array(_weights(((i - p.d - 1) % p.T == 0) * 1.0, 1, z))[..., None, None]
+    return _pack(*(np.concatenate(w * X, axis=-1) for X in (X0, X1)))
 
 
 def _pack(end: np.ndarray, wait: np.ndarray) -> np.ndarray:
-    """The 8x16 step [[E, E', W, W'], [0, E, 0, W]] (or a stack) that maps
-    [val | der] rows to [ends | wait], for an end and a wait in [val | der]."""
-    step = np.zeros(end.shape[:-2] + (8, 16))
-    for col, D in ((0, end), (8, wait)):
-        step[..., :4, col : col + 8] = D
-        step[..., 4:, col + 4 : col + 8] = D[..., :4]
+    """The 12x24 step [[E, E_p, E_s, W, W_p, W_s], [0, E, 0, 0, W, 0], [0, 0, E, 0, 0, W]]
+    (or a stack) that maps [val | d/dz_packets | d/dz_slots] rows to [ends | wait],
+    for an end and a wait in that layout."""
+    step = np.zeros(end.shape[:-2] + (12, 24))
+    for col, D in ((0, end), (12, wait)):
+        step[..., :4, col : col + 12] = D
+        for r in (4, 8):
+            step[..., r : r + 4, col + r : col + r + 4] = D[..., :4]
     return step
 
 
-_IDLE = _pack(np.zeros((1, 4, 8)), np.eye(4, 8)[None])  # ends nothing, passes the wait on
+_IDLE = _pack(np.zeros((1, 4, 12)), np.eye(4, 12)[None])  # ends nothing, passes the wait on
 
 
 def _chain(wait: np.ndarray, steps: np.ndarray):
-    """Step [val | der] rows `wait` (or a stack) through `steps`: their ends, the last wait."""
-    out = np.empty(steps.shape[:-2] + (4, 16))
+    """Step [val | d/dz_packets | d/dz_slots] rows `wait` (or a stack) through `steps`:
+    their ends, the last wait."""
+    out = np.empty(steps.shape[:-2] + (4, 24))
     for t, step in enumerate(steps):
-        wait = np.matmul(wait, step, out=out[t])[..., 8:]
-    return out[..., :8], wait
+        wait = np.matmul(wait, step, out=out[t])[..., 12:]
+    return out[..., :12], wait
 
 
 def _stacked(s: np.ndarray) -> DualMatrix:
-    return DualMatrix(s[:, :4], s[:, 4:])
+    return DualMatrix(s[:, :4], s[:, 4:].reshape(4, 2, 4).swapaxes(0, 1))
 
 
-def _recovery_walk(att: AttemptModel, p: ProtocolParams, acc: Accounting):
+def _recovery_walk(att: AttemptModel, p: ProtocolParams, z):
     """Wait for a delivered cumulative feedback after the ACK was erased:
-    the walk, and a bound on the error of its mean.
+    the walk in both counts at z, and a bound on the error of its means.
 
     Slot j >= 1 (the combining index) ends the walk with X0(j) and
     continues it with X1(j).  The d-slot lead and blocks of whole T-slot
     periods are each stepped from the identity, and dual_geo over a
     block's last period closes the rest.  Rates never rise, so that
     closure keeps the surviving mass and over-counts its future: its
-    future mean on the surviving mass bounds the error of the mean from
-    every start state (at z = 1).  The walk stops once the bound is at
-    most _CERTIFIED, or at once (bound 0) at the limit rates eps_B(inf).
+    future mean on the surviving mass, in either count, bounds the error
+    of that mean from every start state (at z = (1, 1)); the bound is the
+    larger of the two.  The walk stops once the bound is at most
+    _CERTIFIED, or at once (bound 0) at the limit rates eps_B(inf).
     """
-    total, wait, limit = np.zeros((4, 8)), np.eye(4, 8), att.eps_B(np.inf)
+    total, wait, limit = np.zeros((4, 12)), np.eye(4, 12), att.eps_B(np.inf)
     j, lead, per_block = p.d + 1, p.d, -(-_BLOCK // p.T)
     while j <= 10**6:
         exact = att.eps_B(j) == limit  # and so is every later rate
         n = 1 if exact else per_block
-        steps = _steps(att, p, acc, j - lead, lead + n * p.T)
+        steps = _steps(att, p, z, j - lead, lead + n * p.T)
         if lead:  # the lead ends a period of idle steps
             steps = np.concatenate((np.repeat(_IDLE, p.T - lead, axis=0), steps))
-        ends, last = _chain(np.eye(4, 8), steps.reshape(-1, p.T, 8, 16).swapaxes(0, 1))
+        ends, last = _chain(np.eye(4, 12), steps.reshape(-1, p.T, 12, 24).swapaxes(0, 1))
         sums = ends.sum(axis=0)
         kernels = _pack(sums, last)  # the lead and the periods, stepped side by side
         ends, wait = _chain(wait, kernels[:-1])
         total = total + ends.sum(axis=0)
         tail = dual_mul(dual_geo(_stacked(last[-1])), _stacked(sums[-1]))
-        bound = 0.0 if exact else float((wait[:, :4] @ last[-1, :, :4] @ tail.der.sum(1)).max())
+        bound = 0.0 if exact else float((wait[:, :4] @ last[-1, :, :4] @ tail.der.sum(-1).T).max())
         if bound <= _CERTIFIED:
             return dual_add(_stacked(total), dual_mul(_stacked(wait), tail)), bound
         ends, wait = _chain(wait, kernels[-1:])
@@ -222,16 +243,21 @@ def _recovery_walk(att: AttemptModel, p: ProtocolParams, acc: Accounting):
     raise NonConvergenceError("recovery walk not certified in 1000000 slots")
 
 
-def _loop_gain(
-    ch: CompositeChannel, p: ProtocolParams, acc: Accounting, Pk: np.ndarray, PT: np.ndarray
+def _arq_mgf(
+    ch: CompositeChannel, p: ProtocolParams, att: AttemptModel, z=(1.0, 1.0)
 ) -> DualMatrix:
-    """One traversal of the lost-packet retransmission loop.
-
-    A delivered NACK re-sends after k slots, an erased one waits for the
-    timer (T slots); either way one packet is sent again.  Pk and PT are
-    Pc^(k-1) and Pc^(T-1).
-    """
-    return dual_add(acc.term(ch.P10 @ Pk, 1, p.k), acc.term(ch.P11 @ PT, 1, p.T))
+    """The ARQ matrix MGF in both counts at z = (z_packets, z_slots): der[0]
+    is its derivative in z_packets (transmissions), der[1] in z_slots (delay)."""
+    Pk = np.linalg.matrix_power(ch.Pc, p.k - 1)
+    PT = np.linalg.matrix_power(ch.Pc, p.T - 1)
+    # the first transmission, then k - 1 slots to its feedback
+    prefix = _term(Pk, 1, p.k - 1, z)
+    # the lost-packet loop: a delivered NACK re-sends after k slots, an
+    # erased one waits for the timer (T slots); either way one packet
+    loop = dual_geo(dual_add(_term(ch.P10 @ Pk, 1, p.k, z), _term(ch.P11 @ PT, 1, p.T, z)))
+    # the feedback (its slot, no packet): the ACK (P00), or an erased one (P01) and the walk
+    recovery = dual_mul(_term(ch.P01, 0, 1, z), _recovery_walk(att, p, z)[0])
+    return dual_mul(prefix, dual_mul(loop, dual_add(_term(ch.P00, 0, 1, z), recovery)))
 
 
 def build_arq_mgf(
@@ -249,14 +275,9 @@ def build_arq_mgf(
     recovery by cumulative feedback after an erased acknowledgment.
     """
     acc = Accounting(kind, z)
-    Pk = np.linalg.matrix_power(ch.Pc, p.k - 1)
-    PT = np.linalg.matrix_power(ch.Pc, p.T - 1)
-    # the first transmission, then k - 1 slots to its feedback
-    prefix = acc.term(Pk, 1, p.k - 1)
-    loop = dual_geo(_loop_gain(ch, p, acc, Pk, PT))
-    # the feedback (its slot, no packet): the ACK (P00), or an erased one (P01) and the walk
-    recovery = dual_mul(acc.term(ch.P01, 0, 1), _recovery_walk(att, p, acc)[0])
-    return dual_mul(prefix, dual_mul(loop, dual_add(acc.term(ch.P00, 0, 1), recovery)))
+    # z marks the count that kind picks; the other count is held at 1
+    phi = _arq_mgf(ch, p, att, acc.power((z, 1.0), (1.0, z)))
+    return DualMatrix(phi.val, phi.der[acc.power(0, 1)])
 
 
 def _metrics_from_mgfs(
@@ -295,10 +316,8 @@ def attempt_model_for(ch: CompositeChannel, p: ProtocolParams) -> AttemptModel:
 def _arq_metrics(ch: CompositeChannel, p: ProtocolParams, scheme: str) -> Metrics:
     if p.scheme != scheme:
         raise ParameterError(f"params do not select the {scheme} scheme")
-    att = attempt_model_for(ch, p)
-    return _metrics_from_mgfs(
-        ch, 1, build_arq_mgf(ch, p, att, "tau"), build_arq_mgf(ch, p, att, "delay")
-    )
+    phi = _arq_mgf(ch, p, attempt_model_for(ch, p))
+    return _metrics_from_mgfs(ch, 1, *(DualMatrix(phi.val, der) for der in phi.der))
 
 
 def uncoded_metrics(ch: CompositeChannel, p: ProtocolParams) -> Metrics:

@@ -42,8 +42,8 @@ class SimConfig:
     """One reproducible run: protocol, channel directions, seed, horizon.
 
     horizon counts delivered packets (delivered frames for the coded
-    scheme).  Statistics need horizon >= 1000.  batch is the number of
-    lanes run side by side.
+    scheme).  Statistics need horizon >= 1000, and seeds are >= 0
+    (check).  batch is the number of lanes run side by side.
     """
 
     params: ProtocolParams
@@ -54,10 +54,17 @@ class SimConfig:
     batch: int = 4096
 
     def __post_init__(self):
-        if self.horizon < 1000:
-            raise ValueError("horizon must be >= 1000 for usable statistics")
+        self.check(self.seed, self.horizon)
         if self.batch < 1:
             raise ValueError("batch must be >= 1")
+
+    @staticmethod
+    def check(seed: int, horizon: int) -> None:
+        """Raise ValueError unless a run can take this seed and horizon."""
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, not {seed}")
+        if horizon < 1000:
+            raise ValueError(f"horizon must be >= 1000 for usable statistics, not {horizon}")
 
 
 @dataclass(frozen=True)

@@ -113,9 +113,14 @@ def check_points(schemes):
         p = ProtocolParams(k=run.K, T=pt.T, scheme=scheme, **kw)
         metrics = getattr(gearq, f"{scheme}_metrics")
         ana = metrics(build_composite(half, half), p)
+        # what perfbench writes to its result JSON must be built-in floats:
+        # a numpy scalar there fails json.dumps and with it the whole run
+        for f in run.REF_FIELDS + ("mgf_err_tau", "mgf_err_delay"):
+            assert type(getattr(ana, f)) is float, (scheme, f, type(getattr(ana, f)))
         results.append(run.PointResult(pt, 0, 1.0, row, ana, []))
     checks = run.check_analytic(
         gearq, results, {r.point.key(): reference[r.point.key()] for r in results})
+    json.dumps(checks)
     assert [c["name"] for c in checks] == ["mgf_check", "flowgraph_oracle", "seed0_reference"]
     assert all(c["ok"] and c["count"] > 0 for c in checks), checks
     return checks

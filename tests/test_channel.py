@@ -86,6 +86,25 @@ def test_half_channel_is_shared_and_read_only():
     assert build_half_channel(0.3, 0, 1, 0.4) is as_int
 
 
+def test_symmetric_composite_is_shared_and_read_only():
+    ch = symmetric_composite(0.3, 0.0, 1.0, 0.4)
+    assert symmetric_composite(0.3, 0.0, 1.0, 0.4) is ch
+    arrays = [v for v in vars(ch).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 11
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.5
+    # typed: 0 and 0.0 are separate entries, each with the field types of its call
+    as_int = symmetric_composite(0.3, 0, 1, 0.4)
+    assert as_int is not ch and type(as_int.rev.eps_G) is int
+    assert symmetric_composite(0.3, 0, 1, 0.4) is as_int
+    # an error is not cached: an inadmissible channel raises on every call
+    for _ in range(2):
+        with pytest.raises(ParameterError):
+            symmetric_composite(0.3, 0.0, 1.0, 1.5)
+
+
 def test_composite_symmetric_example():
     ch = symmetric_composite(r=0.3, eps_G=0.0, eps_B=1.0, eps=0.5)
     assert ch.pi_c == pytest.approx([0.25] * 4, abs=TOL)

@@ -305,11 +305,15 @@ def test_main_seed_override(tmp_path):
         (BASIC.replace("schemes = uncoded", "schemes = coded, uncoded") + "M = 6\nN = 4\n", [],
          "coded at T = 10: need T >= k >= M >= N >= 1"),
         (BASIC.replace("T = 10", "T = 10, 3"), [], "uncoded at T = 3: need T >= k"),
+        (BASIC.replace("mode = analytic", "mode = sim") + "horizon = 10\n", [],
+         "horizon must be >= 1000"),
+        (BASIC.replace("mode = analytic", "mode = both") + "seeds = 0, -1\n", [], "seed must be >= 0"),
+        (BASIC, ["--mode", "sim", "--seeds", "-1"], "seed must be >= 0"),
     ],
     ids=["unknown-key", "bad-mode", "sim-without-seeds", "bad-value", "bad-seeds",
          "sim-override-without-seeds", "missing-file", "bad-gamma-rule", "unknown-scheme",
          "duplicate-key", "tol-key", "empty-eps", "empty-T", "empty-schemes", "bad-frame-shape",
-         "timer-below-rtt"],
+         "timer-below-rtt", "short-horizon", "negative-seed", "negative-seed-override"],
 )
 def test_main_config_errors_are_one_line(tmp_path, capsys, config, extra, message):
     cfgfile = tmp_path / "sweep.cfg"

@@ -17,7 +17,6 @@ from gearq.genfunc import (
 )
 from gearq import protocols
 from gearq.protocols import (
-    Accounting,
     AttemptModel,
     ProtocolParams,
     _recovery_walk,
@@ -32,6 +31,7 @@ from gearq.protocols import (
 import exhaustive
 
 EPS_GRID = [round(0.05 * i, 2) for i in range(1, 13)]
+ONE = (1.0, 1.0)  # (z_packets, z_slots) where both means are read
 
 
 def channel(eps):
@@ -417,12 +417,13 @@ def test_recovery_walk_matches_reference_past_one_block():
                 assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), (kind, z)
 
 
-def walk_far(att, p, kind, slots=4000):
-    """(mass, mean) of each start state's recovery walk, summed slot by
-    slot far past where the certified walk stops."""
-    ends, _ = _chain(np.eye(4, 8), _steps(att, p, Accounting(kind), 1, slots))
+def walk_far(att, p, slots=4000):
+    """(mass, means) of each start state's recovery walk, summed slot by
+    slot far past where the certified walk stops; means[0] counts
+    packets, means[1] slots."""
+    ends, _ = _chain(np.eye(4, 12), _steps(att, p, ONE, 1, slots))
     total = ends.sum(axis=0)
-    return total[:, :4].sum(axis=1), total[:, 4:].sum(axis=1)
+    return total[:, :4].sum(axis=1), np.stack((total[:, 4:8].sum(axis=1), total[:, 8:].sum(axis=1)))
 
 
 def certified_points():
@@ -436,25 +437,25 @@ def certified_points():
 
 
 def test_recovery_walk_is_certified():
-    # the stop is certified: the bound is at most 1e-15 and at least the
-    # walk's distance from a reference summed far past it (up to the
-    # rounding of the two sums); the mass is exact
+    # the stop is certified: the one bound is at most 1e-15 and at least
+    # the distance of both means (packets and slots) from a reference
+    # summed far past it (up to the rounding of the two sums); the mass
+    # is exact
     for ch, p in certified_points():
         att = attempt_model_for(ch, p)
-        for kind in ("tau", "delay"):
-            walk, bound = _recovery_walk(att, p, Accounting(kind))
-            mass, mean = walk_far(att, p, kind)
-            assert bound <= 1e-15
-            err = np.abs(walk.der.sum(axis=1) - mean)
-            assert np.all(err <= bound + 1e-14 * mean.max()), (kind, err.max(), bound)
-            assert np.max(np.abs(walk.val.sum(axis=1) - mass)) <= 1e-14
+        walk, bound = _recovery_walk(att, p, ONE)
+        mass, means = walk_far(att, p)
+        assert bound <= 1e-15
+        err = np.abs(walk.der.sum(axis=-1) - means)
+        assert np.all(err <= bound + 1e-14 * means.max(axis=1, keepdims=True)), (err.max(), bound)
+        assert np.max(np.abs(walk.val.sum(axis=1) - mass)) <= 1e-14
 
 
 @pytest.mark.parametrize("certified", [1e-1, 1e-3, 1e-5, 1e-7, 1e-9])
 def test_recovery_walk_bound_holds_where_it_stops(monkeypatch, certified):
     # stopped early (one period per block, a loose stop), the walk
-    # over-counts: its mean lies between the far-summed reference and
-    # the reference plus the reported bound
+    # over-counts in both counts: each mean lies between the far-summed
+    # reference and the reference plus the one reported bound
     monkeypatch.setattr(protocols, "_BLOCK", 1)
     monkeypatch.setattr(protocols, "_CERTIFIED", certified)
     slow = symmetric_composite(0.01, 0.0, 1.0, 0.3)
@@ -466,13 +467,27 @@ def test_recovery_walk_bound_holds_where_it_stops(monkeypatch, certified):
     ]
     for ch, p, eps_B in cases:
         att = attempt_model_for(ch, p) if eps_B is None else AttemptModel(ch, eps_B)
-        for kind in ("tau", "delay"):
-            walk, bound = _recovery_walk(att, p, Accounting(kind))
-            _, mean = walk_far(att, p, kind)
-            over = walk.der.sum(axis=1) - mean
-            slack = 1e-13 * mean.max()
-            assert bound <= certified
-            assert np.all(over >= -slack) and np.all(over <= bound + slack), (p.T, kind, over, bound)
+        walk, bound = _recovery_walk(att, p, ONE)
+        _, means = walk_far(att, p)
+        over = walk.der.sum(axis=-1) - means
+        slack = 1e-13 * means.max(axis=1, keepdims=True)
+        assert bound <= certified
+        assert np.all(over >= -slack) and np.all(over <= bound + slack), (p.T, over, bound)
+
+
+@pytest.mark.parametrize("scheme", ["uncoded", "harq"])
+def test_one_arq_point_runs_one_walk(monkeypatch, scheme):
+    # both means of a point come from one traversal: one recovery walk,
+    # also where the walk needs more than one block
+    walks = []
+    walk = protocols._recovery_walk
+    monkeypatch.setattr(protocols, "_recovery_walk", lambda *args: walks.append(args) or walk(*args))
+    metrics = uncoded_metrics if scheme == "uncoded" else harq_metrics
+    for ch, gor in ((channel(0.3), 3.0), (symmetric_composite(0.01, 0.0, 1.0, 0.3), 30.0)):
+        p = ProtocolParams(k=5, T=10, scheme=scheme, gamma_over_rho=gor if scheme == "harq" else 0.0)
+        walks.clear()
+        metrics(ch, p)
+        assert len(walks) == 1
 
 
 def test_recovery_rates_that_rise_are_named():
