@@ -14,7 +14,6 @@ from .channel import (
     ParameterError,
     build_composite,
     build_half_channel,
-    joint_observation_matrices,
     stationary_distribution,
     symmetric_composite,
 )

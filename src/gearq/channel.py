@@ -5,6 +5,9 @@ two-state Markov chain with states G (good) and B (bad) and per-state
 erasure rates.  Protocol analysis works on the joint channel: a 4-state
 chain whose observation matrices are Kronecker products of the per-link
 success/error matrices, one for each (forward bit, reverse bit) pair.
+build_composite splits the chain once; every consumer (the ARQ and coded
+analyses, the flow graph and the simulator) reads its splits from the
+one CompositeChannel of a link.
 """
 from __future__ import annotations
 
@@ -76,8 +79,9 @@ class CompositeChannel:
 
     Observation index "xy" means forward bit x and reverse bit y (0 =
     delivered, 1 = erased).  State order is (G,G), (G,B), (B,G), (B,B),
-    forward component major.  pi_I = pi_c @ P0x is kept un-normalized;
-    MGF scalarization divides by pi_I @ 1.
+    forward component major, so reverse state G is columns 0 and 2 of Pc
+    and reverse state B columns 1 and 3.  pi_I = pi_c @ P0x is kept
+    un-normalized; MGF scalarization divides by pi_I @ 1.
     """
 
     P00: np.ndarray
@@ -85,7 +89,6 @@ class CompositeChannel:
     P10: np.ndarray
     P11: np.ndarray
     P0x: np.ndarray
-    P1x: np.ndarray
     Px0: np.ndarray
     Px1: np.ndarray
     Pc: np.ndarray
@@ -170,38 +173,27 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
 
 
-def joint_observation_matrices(
-    fwd_P0: np.ndarray, fwd_P1: np.ndarray, rev_P0: np.ndarray, rev_P1: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Kronecker observation matrices (P00, P01, P10, P11), forward bit first."""
-    return (
-        kron(fwd_P0, rev_P0),
-        kron(fwd_P0, rev_P1),
-        kron(fwd_P1, rev_P0),
-        kron(fwd_P1, rev_P1),
-    )
-
-
 def build_composite(fwd: HalfChannel, rev: HalfChannel) -> CompositeChannel:
     """Compose two half channels into the joint 4-state channel.
 
-    Marginals: P0x/P1x split the composite step by the forward bit,
-    Px0/Px1 by the reverse bit.  pi_c solves the stationary equations of
-    Pc = P_fwd (x) P_rev; pi_I = pi_c @ P0x is the (un-normalized) state
-    vector in force when a new packet is sent.
+    Pxy = P_fwd,x (x) P_rev,y is the step with forward bit x and reverse
+    bit y.  Marginals: P0x splits the composite step by a delivered
+    forward bit, Px0/Px1 by the reverse bit.  pi_c solves the stationary
+    equations of Pc = P_fwd (x) P_rev; pi_I = pi_c @ P0x is the
+    (un-normalized) state vector in force when a new packet is sent.
     """
-    P00, P01, P10, P11 = joint_observation_matrices(fwd.P0, fwd.P1, rev.P0, rev.P1)
+    P00, P01 = kron(fwd.P0, rev.P0), kron(fwd.P0, rev.P1)
+    P10, P11 = kron(fwd.P1, rev.P0), kron(fwd.P1, rev.P1)
     Pc = kron(fwd.P, rev.P)
     P0x = P00 + P01
-    P1x = P10 + P11
     Px0 = P00 + P10
     Px1 = P01 + P11
     pi_c = stationary_distribution(Pc)
     pi_I = pi_c @ P0x
-    _freeze(P00, P01, P10, P11, P0x, P1x, Px0, Px1, Pc, pi_c, pi_I)
+    _freeze(P00, P01, P10, P11, P0x, Px0, Px1, Pc, pi_c, pi_I)
     return CompositeChannel(
         P00=P00, P01=P01, P10=P10, P11=P11,
-        P0x=P0x, P1x=P1x, Px0=Px0, Px1=Px1,
+        P0x=P0x, Px0=Px0, Px1=Px1,
         Pc=Pc, pi_c=pi_c, pi_I=pi_I, eps=fwd.eps, fwd=fwd, rev=rev,
     )
 

@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 
-from .channel import build_half_channel, symmetric_composite
+from .channel import symmetric_composite
 from .coded import coded_metrics
 from .protocols import SCHEMES, Metrics, ProtocolParams, harq_metrics, uncoded_metrics
 from .sim import SimConfig, pooled_estimate, simulate
@@ -50,6 +50,11 @@ class SweepConfig:
         for name in ("eps", "T", "schemes"):
             if not getattr(self, name):
                 raise ValueError(f"{name!r} needs at least one value")
+        for name in ("eps", "T", "schemes", "seeds"):
+            values = getattr(self, name)
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ValueError(f"{name!r} repeats the value {value}")
         unknown = [s for s in self.schemes if s not in SCHEMES]
         if unknown:
             raise ValueError(f"unknown scheme {unknown[0]!r}: schemes are {', '.join(SCHEMES)}")
@@ -69,6 +74,11 @@ class SweepConfig:
                 "gamma_over_rho must be a number or '<c>*eps' with c >= 0, "
                 f"not {self.gamma_over_rho_rule!r}"
             )
+        for eps in self.eps:  # every grid link, built once: the sweep reads the cache
+            try:
+                symmetric_composite(self.r, self.eps_G, self.eps_B, eps)
+            except ValueError as exc:
+                raise ValueError(f"link at eps = {eps}: {exc}") from None
         for scheme in self.schemes:  # every grid point's timer and frame shape
             for T in self.T:
                 try:
@@ -162,12 +172,9 @@ def _analytic_point(cfg: SweepConfig, scheme: str, eps: float, T: int) -> Metric
 
 def _sim_point(cfg: SweepConfig, scheme: str, eps: float, T: int):
     """Pooled per-packet estimates over the configured seeds."""
-    half = build_half_channel(cfg.r, cfg.eps_G, cfg.eps_B, eps)
+    ch = symmetric_composite(cfg.r, cfg.eps_G, cfg.eps_B, eps)
     p = _params(cfg, scheme, eps, T)
-    stats = [
-        simulate(SimConfig(params=p, fwd=half, rev=half, seed=s, horizon=cfg.horizon))
-        for s in cfg.seeds
-    ]
+    stats = [simulate(SimConfig(params=p, ch=ch, seed=s, horizon=cfg.horizon)) for s in cfg.seeds]
     tau_f, tau_se, d_f, d_se = pooled_estimate(stats)
     M = p.M
     tau_pp, tau_pp_se = tau_f / M, tau_se / M

@@ -104,16 +104,12 @@ def default_coded_kernel(ch: CompositeChannel, p: ProtocolParams) -> CodedKernel
     """Exact kernel for the protocol semantics above."""
     N = p.N
     size = N + 1
-    F00 = kron(ch.fwd.P0, ch.rev.P0)
-    F01 = kron(ch.fwd.P0, ch.rev.P1)
-    F10 = kron(ch.fwd.P1, ch.rev.P0)
-    F11 = kron(ch.fwd.P1, ch.rev.P1)
     I_u = np.eye(size)
     K0, K1 = [], []
     for n in range(1, N + 1):
         up = _shift_up(size, N - n + 1)
-        K0.append(kron(up, F00) + kron(I_u, F10))
-        K1.append(kron(up, F01) + kron(I_u, F11))
+        K0.append(kron(up, ch.P00) + kron(I_u, ch.P10))
+        K1.append(kron(up, ch.P01) + kron(I_u, ch.P11))
     u_pos = np.zeros((size, size))
     u_pos[1:, 1:] = np.eye(size - 1)
     u_zero = np.zeros((size, size))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CompositeChannel, ParameterError, kron
+from .channel import CompositeChannel, ParameterError
 from .genfunc import (
     DualMatrix,
     NonConvergenceError,
@@ -125,18 +125,18 @@ class AttemptModel:
     """Reverse-link erasure rates along the combining index, as chain matrices.
 
     eps_B is state B's erasure-rate sequence over the combining index
-    m >= 1: a number, or a vectorized function of m that never rises and
-    takes m = inf (its limit).  State G's rate at m is min(eps_G,
-    eps_B(m)): combining never makes state G worse than its nominal
-    rate, nor worse than state B.  Observations are linear in the rates
-    (self._K: the chain step into reverse state G, into B).
+    m >= 1: a vectorized function of m that never rises and takes
+    m = inf (its limit), or a number, which is the constant sequence.
+    State G's rate at m is min(eps_G, eps_B(m)): combining never makes
+    state G worse than its nominal rate, nor worse than state B.
+    Observations are linear in the rates (self._K: the composite's Pc
+    restricted to the columns of reverse state G, and of B).
     """
 
     def __init__(self, ch: CompositeChannel, eps_B):
         self.ch = ch
-        self.constant = not callable(eps_B)
-        self.eps_B = (lambda m: eps_B) if self.constant else eps_B
-        self._K = [kron(ch.fwd.P, ch.rev.P * mask) for mask in ([1.0, 0.0], [0.0, 1.0])]
+        self.eps_B = eps_B if callable(eps_B) else (lambda m: eps_B)
+        self._K = [ch.Pc * mask for mask in ([1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0])]
 
     def rates(self, m):
         """(eps_G, eps_B) of the reverse link at index m, each shaped like m."""
@@ -303,13 +303,11 @@ def attempt_model_for(ch: CompositeChannel, p: ProtocolParams) -> AttemptModel:
 
     Uncoded and coded are the constant sequence at the nominal eps_B; harq
     combines with eps_B(m) = min(eps_B, 1 - exp(-(gamma/rho)/m)), never
-    worse than an uncombined reception, and 0 for gamma/rho = 0.
+    worse than an uncombined reception, and 0 at every m for gamma/rho = 0.
     """
     g, eb = p.gamma_over_rho, ch.rev.eps_B
     if p.scheme != "harq":
         return AttemptModel(ch, eb)
-    if g == 0.0:
-        return AttemptModel(ch, 0.0)
     return AttemptModel(ch, lambda m: np.minimum(eb, 1.0 - np.exp(-g / m)))
 
 

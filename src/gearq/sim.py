@@ -1,7 +1,8 @@
 """Slot-level Monte Carlo simulation of the ARQ schemes.
 
 Episodes follow one frame through the protocol over the joint
-forward/reverse chain, with per-state erasure draws for transmissions
+forward/reverse chain of a CompositeChannel (the link object the
+analysis reads too), with per-state erasure draws for transmissions
 and feedback, timers and cumulative acknowledgments.  A packet of the
 uncoded and HARQ schemes is a one-packet frame (M = N = 1), so one rule
 set, _frame_rules, serves every scheme.  The reverse component is
@@ -33,22 +34,23 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .channel import CompositeChannel, HalfChannel, build_composite
+from .channel import CompositeChannel
 from .protocols import ProtocolParams, attempt_model_for
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One reproducible run: protocol, channel directions, seed, horizon.
+    """One reproducible run: protocol, composite channel, seed, horizon.
 
-    horizon counts delivered packets (delivered frames for the coded
-    scheme).  Statistics need horizon >= 1000, and seeds are >= 0
-    (check).  batch is the number of lanes run side by side.
+    ch is the joint forward/reverse channel: build_composite, or the
+    cached symmetric_composite of a link.  horizon counts delivered
+    packets (delivered frames for the coded scheme).  Statistics need
+    horizon >= 1000, and seeds are >= 0 (check).  batch is the number of
+    lanes run side by side.
     """
 
     params: ProtocolParams
-    fwd: HalfChannel
-    rev: HalfChannel
+    ch: CompositeChannel
     seed: int
     horizon: int = 100_000
     batch: int = 4096
@@ -159,7 +161,7 @@ def _chain_step(cumP: np.ndarray, state: np.ndarray, u: np.ndarray) -> np.ndarra
     return landed
 
 
-def _run_lanes(cfg: SimConfig, ch: CompositeChannel, fields, start, step) -> SimStats:
+def _run_lanes(cfg: SimConfig, fields, start, step) -> SimStats:
     """Run cfg.horizon episodes over min(batch, horizon) lanes.
 
     The episode budget is shared: a lane whose episode ends starts the
@@ -173,7 +175,7 @@ def _run_lanes(cfg: SimConfig, ch: CompositeChannel, fields, start, step) -> Sim
     need no mask of active lanes.
     """
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    init = np.cumsum(ch.pi_I / ch.pi_I.sum())[None]  # one cumulative row
+    init = np.cumsum(cfg.ch.pi_I / cfg.ch.pi_I.sum())[None]  # one cumulative row
     B = min(cfg.batch, cfg.horizon)
     L = SimpleNamespace(
         **{f: np.zeros(B, dtype=np.int64) for f in ("state", "s", "tau", *fields)}
@@ -204,7 +206,7 @@ def _run_lanes(cfg: SimConfig, ch: CompositeChannel, fields, start, step) -> Sim
     return acc.stats(iterations, retired)
 
 
-def _frame_rules(cfg: SimConfig, ch: CompositeChannel):
+def _frame_rules(cfg: SimConfig):
     """Frame lanes of every scheme, normative for coded.py's kernel.
 
     Per-slot event order: scheduled round start / timer expiry, packet
@@ -219,9 +221,10 @@ def _frame_rules(cfg: SimConfig, ch: CompositeChannel):
     the next round start or timer expiry (slot k for a fresh frame).
     A round's own feedback is drawn at the nominal reverse rates, and a
     slot that starts with a DoF unacknowledged at the scheme's recovery
-    rates (attempt_model_for) at index ri, the slots of that wait so far.
+    rates (attempt_model_for) at index ri, the slots of that wait so far;
+    a constant model's table repeats its one rate.
     """
-    p = cfg.params
+    p, ch = cfg.params, cfg.ch
     k, T, M, N = p.k, p.T, p.M, p.N
     # Pc^1 .. Pc^(k+T+M-1): the timer never expires more than k + T slots ahead
     powers = _powers(ch.Pc, k + T + M - 1)
@@ -239,8 +242,6 @@ def _frame_rules(cfg: SimConfig, ch: CompositeChannel):
 
     def feedback_miss(L, wait, rev):
         nonlocal miss
-        if att.constant:
-            return miss[2 * wait + rev]
         L.ri = (L.ri + 1) * wait
         top = int(L.ri.max())
         if 2 * top + 2 > miss.size:
@@ -292,8 +293,7 @@ def _frame_rules(cfg: SimConfig, ch: CompositeChannel):
 
 def simulate(cfg: SimConfig) -> SimStats:
     """Run one seeded simulation and return the sample estimates."""
-    ch = build_composite(cfg.fwd, cfg.rev)
-    return _run_lanes(cfg, ch, *_frame_rules(cfg, ch))
+    return _run_lanes(cfg, *_frame_rules(cfg))
 
 
 def pooled_estimate(stats: list[SimStats]) -> tuple[float, float, float, float]:

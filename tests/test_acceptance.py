@@ -6,7 +6,7 @@ criterion.  Tolerances are fixed here and not configurable.
 import numpy as np
 import pytest
 
-from gearq.channel import build_half_channel, symmetric_composite
+from gearq.channel import symmetric_composite
 from gearq.cli import SweepConfig, run_sweep
 from gearq.coded import build_coded_mgf, coded_metrics, default_coded_kernel
 from gearq.flowgraph import build_uncoded_graph, graph_gain
@@ -167,7 +167,6 @@ def test_criterion_6_simulation_agreement_uncoded_harq():
     worst, worst_pooled = 0.0, 0.0
     for scheme in ("uncoded", "harq"):
         for eps in (0.1, 0.3, 0.5):
-            half = build_half_channel(R, 0.0, 1.0, eps)
             ch = channel(eps)
             for T in (5, 10):
                 if scheme == "uncoded":
@@ -179,7 +178,7 @@ def test_criterion_6_simulation_agreement_uncoded_harq():
                     )
                     ana = harq_metrics(ch, p)
                 stats = [
-                    simulate(SimConfig(params=p, fwd=half, rev=half, seed=s, horizon=horizon))
+                    simulate(SimConfig(params=p, ch=ch, seed=s, horizon=horizon))
                     for s in seeds
                 ]
                 exact = (ana.tau_mean, ana.delay_mean)
@@ -199,14 +198,10 @@ def test_criterion_7_coded_kernel_validation():
     M, N = CODED_MN
     worst, worst_pooled = 0.0, 0.0
     for eps in (0.1, 0.3, 0.5):
-        half = build_half_channel(R, 0.0, 1.0, eps)
         ch = channel(eps)
         p = ProtocolParams(k=K, T=10, scheme="coded", M=M, N=N)
         ana = coded_metrics(ch, p)
-        stats = [
-            simulate(SimConfig(params=p, fwd=half, rev=half, seed=s, horizon=horizon))
-            for s in seeds
-        ]
+        stats = [simulate(SimConfig(params=p, ch=ch, seed=s, horizon=horizon)) for s in seeds]
         exact = (ana.frame_tau_mean, ana.delay_mean)
         worst = max(worst, worst_z(*exact, between_seed(stats)))
         worst_pooled = max(worst_pooled, worst_z(*exact, pooled_estimate(stats)))

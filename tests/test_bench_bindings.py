@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 import gearq
-from gearq import ProtocolParams, SimConfig, build_half_channel, simulate
+from gearq import ProtocolParams, SimConfig, build_half_channel, simulate, symmetric_composite
 from gearq.channel import build_composite
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -80,9 +80,9 @@ def test_sim_stats_fields_read_by_benchmark():
     assert all(re.search(rf"\.{field}\b", source) for field in SIM_FIELDS)
 
     k, horizon = 5, 2_000
-    h = build_half_channel(0.3, 0.0, 1.0, 0.0)
+    ch = symmetric_composite(0.3, 0.0, 1.0, 0.0)
     p = ProtocolParams(k=k, T=10)
-    st = simulate(SimConfig(params=p, fwd=h, rev=h, seed=0, horizon=horizon))
+    st = simulate(SimConfig(params=p, ch=ch, seed=0, horizon=horizon))
     assert st.delivered == horizon
     # model slots, not engine iterations: an error-free packet takes k slots
     assert st.slots_elapsed == k * horizon
@@ -90,7 +90,7 @@ def test_sim_stats_fields_read_by_benchmark():
     pt = run.Point("uncoded", 0.0, 10, 0.3)
     result = run.PointResult(pt, 0, 1.0, {}, None, [(None, st, 0.5)])
     assert run.sim_rates([result]) == (2 * horizon, 2 * k * horizon, k)
-    ana = gearq.uncoded_metrics(build_composite(h, h), p)
+    ana = gearq.uncoded_metrics(ch, p)
     check = run.check_sim([result], {pt: ana})
     assert check["ok"] and check["worst"] == 0.0
 

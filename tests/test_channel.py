@@ -4,10 +4,10 @@ import pytest
 
 from gearq.channel import (
     DegenerateChainError,
+    HalfChannel,
     ParameterError,
     build_composite,
     build_half_channel,
-    joint_observation_matrices,
     kron,
     stationary_distribution,
     symmetric_composite,
@@ -90,7 +90,7 @@ def test_symmetric_composite_is_shared_and_read_only():
     ch = symmetric_composite(0.3, 0.0, 1.0, 0.4)
     assert symmetric_composite(0.3, 0.0, 1.0, 0.4) is ch
     arrays = [v for v in vars(ch).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 11
+    assert len(arrays) == 10
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
@@ -108,7 +108,7 @@ def test_symmetric_composite_is_shared_and_read_only():
 def test_composite_symmetric_example():
     ch = symmetric_composite(r=0.3, eps_G=0.0, eps_B=1.0, eps=0.5)
     assert ch.pi_c == pytest.approx([0.25] * 4, abs=TOL)
-    assert ch.pi_c @ ch.P1x @ np.ones(4) == pytest.approx(0.5, abs=TOL)
+    assert ch.pi_c @ (ch.P10 + ch.P11) @ np.ones(4) == pytest.approx(0.5, abs=TOL)
 
 
 def test_composite_invariants():
@@ -119,7 +119,7 @@ def test_composite_invariants():
     assert np.allclose(ch.P0x, ch.P00 + ch.P01, atol=TOL)
     assert np.allclose(ch.Px1, ch.P01 + ch.P11, atol=TOL)
     assert np.allclose(ch.pi_c @ ch.Pc, ch.pi_c, atol=TOL)
-    assert ch.pi_c @ ch.P1x @ np.ones(4) == pytest.approx(ch.eps, abs=TOL)
+    assert ch.pi_c @ (ch.P10 + ch.P11) @ np.ones(4) == pytest.approx(ch.eps, abs=TOL)
     assert np.allclose(ch.pi_I, ch.pi_c @ ch.P0x, atol=TOL)
     # pi_I is left un-normalized: total mass 1 - eps
     assert ch.pi_I.sum() == pytest.approx(1.0 - ch.eps, abs=TOL)
@@ -138,10 +138,15 @@ def test_zero_error_composite():
 def test_identity_chain_kron_and_degeneracy():
     eye = np.eye(2)
     zero = np.zeros((2, 2))
-    P00, P01, P10, P11 = joint_observation_matrices(eye, zero, eye, zero)
-    assert np.allclose(P00 + P01 + P10 + P11, np.eye(4), atol=TOL)
+    splits = [kron(a, b) for a in (eye, zero) for b in (eye, zero)]
+    assert np.allclose(sum(splits), np.eye(4), atol=TOL)
     with pytest.raises(DegenerateChainError):
         stationary_distribution(np.eye(4))
+    # the identity chain never mixes: its composite has no stationary vector
+    stuck = HalfChannel(r=0.0, q=0.0, eps_G=0.0, eps_B=0.0, P=eye, P0=eye, P1=zero,
+                        pi=np.array([0.5, 0.5]), eps=0.0)
+    with pytest.raises(DegenerateChainError):
+        build_composite(stuck, stuck)
 
 
 def test_row_sums_random_parameters():
@@ -192,3 +197,7 @@ def test_asymmetric_directions_allowed():
     ch = build_composite(fwd, rev)
     assert ch.eps == fwd.eps
     assert np.allclose(ch.Pc.sum(axis=1), 1.0, atol=TOL)
+    # Pxy: forward bit x, reverse bit y, forward component major
+    for P, a, b in ((ch.P00, fwd.P0, rev.P0), (ch.P01, fwd.P0, rev.P1),
+                    (ch.P10, fwd.P1, rev.P0), (ch.P11, fwd.P1, rev.P1)):
+        assert np.array_equal(P, np.kron(a, b))

@@ -9,7 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from gearq import cli
+from gearq.channel import CompositeChannel, symmetric_composite
 from gearq.cli import COLUMNS, SweepConfig, main, parse_sweep_config, run_sweep
+from gearq.genfunc import NonConvergenceError
 
 BASIC = """
 # comment line
@@ -114,16 +117,47 @@ def test_reproducible_byte_identical():
     assert t1 == t2
 
 
-def test_point_failure_recorded_not_fatal():
-    # eps beyond the representable range: q > 1 at that grid point
-    cfg = SweepConfig(eps=(0.3, 0.95), T=(10,), schemes=("uncoded",))
+def test_point_failure_recorded_not_fatal(monkeypatch):
+    # every link is admissible (the config checks that), so a point fails
+    # only in its evaluation: here the one at eps = 0.5
+    real = cli.uncoded_metrics
+
+    def uncoded_metrics(ch, p):
+        if ch.eps == 0.5:
+            raise NonConvergenceError("loop gain too close to 1")
+        return real(ch, p)
+
+    monkeypatch.setattr(cli, "uncoded_metrics", uncoded_metrics)
+    cfg = SweepConfig(eps=(0.3, 0.5), T=(10,), schemes=("uncoded",))
     text, n_err = run_sweep(cfg)
     assert n_err == 1
     rows = [dict(zip(COLUMNS, line.split(","))) for line in text.strip().splitlines()[1:]]
     good = [r for r in rows if not r["error"]]
     bad = [r for r in rows if r["error"]]
     assert len(good) == 1 and len(bad) == 1
-    assert "ParameterError" in bad[0]["error"]
+    assert bad[0]["eps"] == "0.5"
+    assert bad[0]["error"] == "NonConvergenceError: loop gain too close to 1"
+
+
+def test_both_sweep_builds_one_composite_per_link(monkeypatch):
+    # the config check, the analysis and the simulator of every seed
+    # share the one cached composite of each link
+    built = []
+    init = CompositeChannel.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs["fwd"].eps)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CompositeChannel, "__init__", counted)
+    symmetric_composite.cache_clear()
+    cfg = SweepConfig(
+        eps=(0.1, 0.2, 0.3), T=(5, 10), schemes=("uncoded", "harq", "coded"), M=2, N=2,
+        mode="both", seeds=(0, 1), horizon=1000,
+    )
+    text, n_err = run_sweep(cfg)
+    assert n_err == 0 and text.count("\n") == 1 + 2 * 3 * 2 * 3
+    assert sorted(built) == [0.1, 0.2, 0.3]
 
 
 def test_unknown_scheme_is_a_config_error():
@@ -184,11 +218,12 @@ def test_main_exit_codes(tmp_path):
     assert out.read_text().startswith(",".join(COLUMNS))
 
     # an errored grid point: the CSV is written, and the status is not
-    # argparse's usage-error status 2
-    cfgfile.write_text(BASIC.replace("0.1, 0.3", "0.1, 0.97"))
+    # argparse's usage-error status 2.  A link that erases every packet
+    # is admissible, but its retransmission loop never drains
+    cfgfile.write_text(BASIC.replace("0.1, 0.3", "1.0") + "eps_G = 1\n")
     rc = main(["sweep", "--config", str(cfgfile), "--out", str(out)])
     assert rc == 3
-    assert "ParameterError" in out.read_text()
+    assert "NonConvergenceError" in out.read_text()
     with pytest.raises(SystemExit) as usage:
         main(["sweep"])
     assert usage.value.code == 2
@@ -309,11 +344,23 @@ def test_main_seed_override(tmp_path):
          "horizon must be >= 1000"),
         (BASIC.replace("mode = analytic", "mode = both") + "seeds = 0, -1\n", [], "seed must be >= 0"),
         (BASIC, ["--mode", "sim", "--seeds", "-1"], "seed must be >= 0"),
+        (BASIC.replace("eps = 0.1, 0.3", "eps = 0.1, 0.10"), [], "'eps' repeats the value 0.1"),
+        (BASIC.replace("T = 10", "T = 5, 5"), [], "'T' repeats the value 5"),
+        (BASIC.replace("schemes = uncoded", "schemes = uncoded, uncoded"), [],
+         "'schemes' repeats the value uncoded"),
+        (BASIC + "seeds = 0, 1, 0\n", [], "'seeds' repeats the value 0"),
+        (BASIC, ["--mode", "sim", "--seeds", "0,0"], "'seeds' repeats the value 0"),
+        (BASIC.replace("r = 0.3", "r = 1.5"), [], "link at eps = 0.1: r=1.5 is not a probability"),
+        (BASIC + "eps_G = 0.5\n", [], "link at eps = 0.1: need eps_G <= eps <= eps_B"),
+        (BASIC.replace("eps = 0.1, 0.3", "eps = 0.1, 0.95"), [],
+         "link at eps = 0.95: implied q=5.69"),
     ],
     ids=["unknown-key", "bad-mode", "sim-without-seeds", "bad-value", "bad-seeds",
          "sim-override-without-seeds", "missing-file", "bad-gamma-rule", "unknown-scheme",
          "duplicate-key", "tol-key", "empty-eps", "empty-T", "empty-schemes", "bad-frame-shape",
-         "timer-below-rtt", "short-horizon", "negative-seed", "negative-seed-override"],
+         "timer-below-rtt", "short-horizon", "negative-seed", "negative-seed-override",
+         "repeated-eps", "repeated-T", "repeated-scheme", "repeated-seed",
+         "repeated-seed-override", "r-not-a-probability", "eps-below-eps_G", "q-above-one"],
 )
 def test_main_config_errors_are_one_line(tmp_path, capsys, config, extra, message):
     cfgfile = tmp_path / "sweep.cfg"

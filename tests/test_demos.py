@@ -1,4 +1,4 @@
-"""Demo scripts run to completion (the fast ones; the simulator demo is slow)."""
+"""Every demo script runs to completion."""
 import os
 import subprocess
 import sys
@@ -11,7 +11,13 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize(
     "demo",
-    ["channel_basics", "dual_derivatives", "flowgraph_reduction", "throughput_delay_curves"],
+    [
+        "channel_basics",
+        "dual_derivatives",
+        "flowgraph_reduction",
+        "simulator_crosscheck",
+        "throughput_delay_curves",
+    ],
 )
 def test_demo_exits_cleanly(demo):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

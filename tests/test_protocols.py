@@ -2,7 +2,13 @@
 import numpy as np
 import pytest
 
-from gearq.channel import ParameterError, build_half_channel, build_composite, symmetric_composite
+from gearq.channel import (
+    ParameterError,
+    build_composite,
+    build_half_channel,
+    kron,
+    symmetric_composite,
+)
 from gearq.coded import build_coded_mgf, coded_metrics, default_coded_kernel
 from gearq.flowgraph import build_uncoded_graph
 from gearq.genfunc import (
@@ -125,6 +131,41 @@ def test_observation_matches_kronecker_formula(ch):
                 assert got.shape == (4, 4)
                 assert np.max(np.abs(got - ref)) <= 1e-15
             assert np.max(np.abs(X0 + X1 - ch.Pc)) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "ch",
+    [
+        channel(0.3),
+        LOSSY_G,
+        symmetric_composite(0.01, 0.0, 1.0, 0.5),
+        build_composite(
+            build_half_channel(0.3, 0.0, 1.0, 0.3), build_half_channel(0.5, 0.1, 0.9, 0.4)
+        ),
+    ],
+    ids=["eps_G0", "eps_G0.1", "r0.01", "asymmetric"],
+)
+def test_attempt_kernels_are_the_composite_columns(ch):
+    # the kernels as they were built: the forward chain times the reverse
+    # chain masked to its destination state, one Kronecker product each
+    ref = [kron(ch.fwd.P, ch.rev.P * mask) for mask in ([1.0, 0.0], [0.0, 1.0])]
+    for eps_B in (ch.rev.eps_B, lambda m: np.minimum(ch.rev.eps_B, 1.0 - np.exp(-3.0 / m))):
+        for got, want in zip(AttemptModel(ch, eps_B)._K, ref):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("ch", [channel(0.3), LOSSY_G], ids=["eps_G0", "eps_G0.1"])
+@pytest.mark.parametrize("T", [5, 10])
+def test_harq_without_combining_gain_is_the_zero_sequence(ch, T, monkeypatch):
+    # gamma/rho = 0 takes the combining formula, which is 0 at every m and
+    # at m = inf, so the walk stops at once on the constant sequence 0
+    p = harq_params(T, 0.0)
+    att = attempt_model_for(ch, p)
+    assert att.eps_B(np.arange(1, 5)).tolist() == [0.0] * 4 and att.eps_B(np.inf) == 0.0
+    assert _recovery_walk(att, p, ONE)[1] == 0.0
+    combined = harq_metrics(ch, p)
+    monkeypatch.setattr(protocols, "attempt_model_for", lambda ch, p: AttemptModel(ch, 0.0))
+    assert harq_metrics(ch, p) == combined
 
 
 def test_harq_constant_equals_uncoded():
@@ -324,8 +365,10 @@ def reference_arq_mgf(ch, p, att, kind, z):
     pointless retransmission that costs one z (closed with dual_geo for
     a constant model, a series over windows otherwise).  delay: the
     per-slot series z^j (prod X1) X0, closed with dual_geo for a
-    constant model.
+    constant model.  A model is taken as constant when its first rates
+    already equal its limit.
     """
+    constant = all(att.eps_B(m) == att.eps_B(np.inf) for m in (1, 2, 3))
 
     def presum(budget, base):
         total, prefix = dual_term(np.zeros((4, 4)), 0, z), dual_identity(4)
@@ -338,7 +381,7 @@ def reference_arq_mgf(ch, p, att, kind, z):
     if kind == "tau":
         retx = dual_term(np.eye(4), 1, z)
         pre, allfail = presum(p.d, 0)
-        if att.constant:
+        if constant:
             exit_sum, fail = presum(p.T, p.d)
             tail = dual_mul(dual_geo(dual_mul(retx, fail)), dual_mul(retx, exit_sum))
         else:
@@ -360,7 +403,7 @@ def reference_arq_mgf(ch, p, att, kind, z):
         )
         head = dual_term(np.linalg.matrix_power(ch.Pc, p.k - 1), 1, z)
     else:
-        if att.constant:
+        if constant:
             X0, X1 = att.observation(1)
             wait = dual_mul(dual_geo(dual_term(X1, 1, z)), dual_term(X0, 0, z))
         else:

@@ -31,7 +31,7 @@ def cfg(scheme="uncoded", eps=0.3, T=10, seed=0, horizon=20_000, **kw):
             params_kw[key] = kw.pop(key)
     p = ProtocolParams(k=5, T=T, scheme=scheme, **params_kw)
     h = half(eps)
-    return SimConfig(params=p, fwd=h, rev=h, seed=seed, horizon=horizon, **kw)
+    return SimConfig(params=p, ch=build_composite(h, h), seed=seed, horizon=horizon, **kw)
 
 
 def cum_rows(mats):
@@ -217,14 +217,9 @@ def test_feedback_erasures_hurt():
     # same forward channel, reverse erasures on vs off, paired seeds
     p = ProtocolParams(k=5, T=10)
     fwd = half(0.3)
-    noisy = [
-        simulate(SimConfig(params=p, fwd=fwd, rev=half(0.3), seed=s, horizon=30_000))
-        for s in range(4)
-    ]
-    clean = [
-        simulate(SimConfig(params=p, fwd=fwd, rev=half(0.0), seed=s, horizon=30_000))
-        for s in range(4)
-    ]
+    noisy_ch, clean_ch = build_composite(fwd, half(0.3)), build_composite(fwd, half(0.0))
+    noisy = [simulate(SimConfig(params=p, ch=noisy_ch, seed=s, horizon=30_000)) for s in range(4)]
+    clean = [simulate(SimConfig(params=p, ch=clean_ch, seed=s, horizon=30_000)) for s in range(4)]
     assert np.mean([s.throughput_hat for s in clean]) > np.mean(
         [s.throughput_hat for s in noisy]
     )
@@ -253,7 +248,7 @@ def test_sim_matches_analysis_quick(scheme, eps, eps_G, eps_B):
     p = ProtocolParams(k=5, T=10, scheme=scheme, gamma_over_rho=3.0 if scheme == "harq" else 0.0)
     ana = uncoded_metrics(ch, p) if scheme == "uncoded" else harq_metrics(ch, p)
     stats = [
-        simulate(SimConfig(params=p, fwd=h, rev=h, seed=s, horizon=50_000)) for s in range(6)
+        simulate(SimConfig(params=p, ch=ch, seed=s, horizon=50_000)) for s in range(6)
     ]
     tm, ts, dm, ds = pooled_estimate(stats)
     assert abs(ana.tau_mean - tm) <= 4 * ts
@@ -322,10 +317,10 @@ def test_round_rows_match_path_enumeration(h):
             assert np.allclose(rows[adv - 1, n], expect, rtol=0, atol=1e-12), (n, adv)
 
 
-def per_slot_coded_rules(cfg, ch):
+def per_slot_coded_rules(cfg):
     """The reference coded rules: one engine step per slot of a round."""
     far = np.iinfo(np.int64).max // 4  # a slot no episode reaches
-    p = cfg.params
+    p, ch = cfg.params, cfg.ch
     k, T, M, N = p.k, p.T, p.M, p.N
     jumps = cum_rows(_powers(ch.Pc, k + T))
     eps_f = np.array([ch.fwd.eps_G, ch.fwd.eps_B])
@@ -387,19 +382,19 @@ def test_round_step_matches_per_slot_rules(h, k, T, M, N):
     p = ProtocolParams(k=k, T=T, scheme="coded", M=M, N=N)
     runs = {"round": [], "slot": []}
     for seed in range(3):
-        c = SimConfig(params=p, fwd=h, rev=h, seed=seed, horizon=20_000)
+        c = SimConfig(params=p, ch=ch, seed=seed, horizon=20_000)
         runs["round"].append(simulate(c))
-        runs["slot"].append(_run_lanes(c, ch, *per_slot_coded_rules(c, ch)))
+        runs["slot"].append(_run_lanes(c, *per_slot_coded_rules(c)))
     (ta, sta, da, sda), (tb, stb, db, sdb) = (pooled_estimate(r) for r in runs.values())
     assert abs(ta - tb) <= 4 * np.hypot(sta, stb)
     assert abs(da - db) <= 4 * np.hypot(sda, sdb)
 
 
-def reference_arq_rules(cfg, ch):
+def reference_arq_rules(cfg):
     """The reference uncoded/HARQ rules: one packet waits k or T slots for
     its own feedback, then recovers slot by slot while its ACK is erased."""
     RECOV, WAIT_K, WAIT_T = 0, 1, 2
-    p = cfg.params
+    p, ch = cfg.params, cfg.ch
     k, T, d = p.k, p.T, p.d
     att = attempt_model_for(ch, p)
     legs = np.array([1, k, T])
@@ -442,9 +437,9 @@ def test_one_packet_frames_match_reference_arq_rules(scheme, gamma_over_rho, bat
         fwd, rev = half(0.4, eg=eps_G, eb=eps_B), half(0.35, r=0.2, eg=eps_G, eb=eps_B)
         ch = build_composite(fwd, rev)
         p = ProtocolParams(k=k, T=k + d, scheme=scheme, gamma_over_rho=gamma_over_rho)
-        c = SimConfig(params=p, fwd=fwd, rev=rev, seed=k + d, horizon=3_000, batch=batch)
-        frames = _run_lanes(c, ch, *_frame_rules(c, ch))
-        assert frames == _run_lanes(c, ch, *reference_arq_rules(c, ch)), (k, d, eps_G, eps_B)
+        c = SimConfig(params=p, ch=ch, seed=k + d, horizon=3_000, batch=batch)
+        frames = _run_lanes(c, *_frame_rules(c))
+        assert frames == _run_lanes(c, *reference_arq_rules(c)), (k, d, eps_G, eps_B)
 
 
 def test_coded_sim_matches_analysis_quick():
@@ -481,7 +476,7 @@ def test_coded_idle_jump_matches_analysis(h, k, T, M, N):
     p = ProtocolParams(k=k, T=T, scheme="coded", M=M, N=N)
     ana = coded_metrics(ch, p)
     stats = [
-        simulate(SimConfig(params=p, fwd=h, rev=h, seed=s, horizon=20_000)) for s in range(6)
+        simulate(SimConfig(params=p, ch=ch, seed=s, horizon=20_000)) for s in range(6)
     ]
     tm, ts, dm, ds = pooled_estimate(stats)
     assert abs(ana.frame_tau_mean - tm) <= 4 * ts
