@@ -94,7 +94,6 @@ class CompositeChannel:
     Pc: np.ndarray
     pi_c: np.ndarray
     pi_I: np.ndarray
-    eps: float
     fwd: HalfChannel
     rev: HalfChannel
 
@@ -194,7 +193,7 @@ def build_composite(fwd: HalfChannel, rev: HalfChannel) -> CompositeChannel:
     return CompositeChannel(
         P00=P00, P01=P01, P10=P10, P11=P11,
         P0x=P0x, Px0=Px0, Px1=Px1,
-        Pc=Pc, pi_c=pi_c, pi_I=pi_I, eps=fwd.eps, fwd=fwd, rev=rev,
+        Pc=Pc, pi_c=pi_c, pi_I=pi_I, fwd=fwd, rev=rev,
     )
 
 

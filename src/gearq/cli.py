@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 from .channel import symmetric_composite
 from .coded import coded_metrics
-from .protocols import SCHEMES, Metrics, ProtocolParams, harq_metrics, uncoded_metrics
+from .protocols import SCHEMES, ProtocolParams, harq_metrics, uncoded_metrics
 from .sim import SimConfig, pooled_estimate, simulate
 
 COLUMNS = [
@@ -160,48 +160,27 @@ def _params(cfg: SweepConfig, scheme: str, eps: float, T: int) -> ProtocolParams
     return ProtocolParams(k=cfg.k, T=T, scheme=scheme, gamma_over_rho=g)
 
 
-def _analytic_point(cfg: SweepConfig, scheme: str, eps: float, T: int) -> Metrics:
-    ch = symmetric_composite(cfg.r, cfg.eps_G, cfg.eps_B, eps)
-    p = _params(cfg, scheme, eps, T)
-    if scheme == "uncoded":
-        return uncoded_metrics(ch, p)
-    if scheme == "harq":
-        return harq_metrics(ch, p)
-    return coded_metrics(ch, p)
-
-
-def _sim_point(cfg: SweepConfig, scheme: str, eps: float, T: int):
-    """Pooled per-packet estimates over the configured seeds."""
-    ch = symmetric_composite(cfg.r, cfg.eps_G, cfg.eps_B, eps)
-    p = _params(cfg, scheme, eps, T)
-    stats = [simulate(SimConfig(params=p, ch=ch, seed=s, horizon=cfg.horizon)) for s in cfg.seeds]
-    tau_f, tau_se, d_f, d_se = pooled_estimate(stats)
-    M = p.M
-    tau_pp, tau_pp_se = tau_f / M, tau_se / M
-    return {
-        "tau_mean": tau_pp,
-        "throughput": 1.0 / tau_pp,
-        "delay_mean": d_f / M,
-        "stderr_tau": tau_pp_se,
-        "stderr_throughput": tau_pp_se / tau_pp**2,
-        "stderr_delay": d_se / M,
-    }
-
-
 def _evaluate_point(args) -> list[dict]:
-    """One grid point -> one or two CSV row dicts (module-level: picklable)."""
+    """One grid point -> one or two CSV row dicts (module-level: picklable).
+
+    Analytic rows call the scheme's *_metrics function, looked up in this
+    module's namespace at call time; sim rows pool the per-packet
+    estimates of the configured seeds.
+    """
     cfg, scheme, eps, T = args
     base = {
         "scheme": scheme, "eps": eps, "k": cfg.k, "T": T,
         "M": cfg.M if scheme == "coded" else 1,
         "N": cfg.N if scheme == "coded" else 1,
     }
+    ch = symmetric_composite(cfg.r, cfg.eps_G, cfg.eps_B, eps)
+    p = _params(cfg, scheme, eps, T)
     rows = []
-    ana = sim = None
+    ana = None
     if cfg.mode in ("analytic", "both"):
         row = dict(base, mode="analytic")
         try:
-            ana = _analytic_point(cfg, scheme, eps, T)
+            ana = globals()[f"{scheme}_metrics"](ch, p)  # uncoded_, harq_ or coded_metrics
             row.update(
                 throughput=ana.throughput,
                 tau_mean=ana.tau_mean,
@@ -214,19 +193,20 @@ def _evaluate_point(args) -> list[dict]:
     if cfg.mode in ("sim", "both"):
         row = dict(base, mode="sim")
         try:
-            sim = _sim_point(cfg, scheme, eps, T)
+            runs = [SimConfig(params=p, ch=ch, seed=s, horizon=cfg.horizon) for s in cfg.seeds]
+            pooled = pooled_estimate([simulate(run) for run in runs])
+            tau, tau_se, delay, delay_se = (x / p.M for x in pooled)
             row.update(
-                throughput=sim["throughput"],
-                tau_mean=sim["tau_mean"],
-                delay_mean=sim["delay_mean"],
-                stderr_throughput=sim["stderr_throughput"],
-                stderr_delay=sim["stderr_delay"],
+                throughput=1.0 / tau,
+                tau_mean=tau,
+                delay_mean=delay,
+                stderr_throughput=tau_se / tau**2,
+                stderr_delay=delay_se,
             )
             if ana is not None:
                 agree = (
-                    abs(ana.tau_mean - sim["tau_mean"]) <= 3 * sim["stderr_tau"]
-                    and abs(ana.delay_mean_per_packet - sim["delay_mean"])
-                    <= 3 * sim["stderr_delay"]
+                    abs(ana.tau_mean - tau) <= 3 * tau_se
+                    and abs(ana.delay_mean_per_packet - delay) <= 3 * delay_se
                 )
                 row["agree_3sigma"] = str(agree)
         except Exception as exc:

@@ -78,7 +78,6 @@ class CodedKernel:
     """
 
     ch: CompositeChannel
-    N: int
     dim: int
     plain: np.ndarray
     W0: np.ndarray
@@ -116,7 +115,6 @@ def default_coded_kernel(ch: CompositeChannel, p: ProtocolParams) -> CodedKernel
     u_zero[0, 0] = 1.0
     return CodedKernel(
         ch=ch,
-        N=N,
         dim=4 * size,
         plain=kron(I_u, ch.Pc),
         W0=kron(I_u, ch.Px0),

@@ -88,25 +88,14 @@ def eliminate_node(g: FlowGraph, n: str) -> FlowGraph:
         raise GraphError("cannot eliminate the input or output node")
     out = g.copy()
     loop = out.branches.pop((n, n), None)
-    preds = [(src, gain) for (src, dst), gain in out.branches.items() if dst == n and src != n]
-    succs = [(dst, gain) for (src, dst), gain in out.branches.items() if src == n and dst != n]
-    for src, _ in preds:
-        del out.branches[(src, n)]
-        out.labels.pop((src, n), None)
-    for dst, _ in succs:
-        del out.branches[(n, dst)]
-        out.labels.pop((n, dst), None)
+    preds = [(src, out.branches.pop((src, dst))) for src, dst in list(out.branches) if dst == n]
+    succs = [(dst, out.branches.pop((src, dst))) for src, dst in list(out.branches) if src == n]
+    out.nodes.discard(n)
+    out.labels = {key: label for key, label in out.labels.items() if n not in key}
     for src, g_in in preds:
         through = g_in if loop is None else dual_mul(g_in, dual_geo(loop))
         for dst, g_out in succs:
-            key = (src, dst)
-            gain = dual_mul(through, g_out)
-            if key in out.branches:
-                out.branches[key] = dual_add(out.branches[key], gain)
-            else:
-                out.branches[key] = gain
-    out.nodes.discard(n)
-    out.labels = {k: v for k, v in out.labels.items() if n not in k}
+            out.add_branch(src, dst, dual_mul(through, g_out))
     return out
 
 
@@ -125,9 +114,7 @@ def graph_gain(g: FlowGraph) -> DualMatrix:
     return gain
 
 
-def build_uncoded_graph(
-    ch: CompositeChannel, p: ProtocolParams, kind: str, z: float = 1.0
-) -> FlowGraph:
+def build_uncoded_graph(ch: CompositeChannel, p: ProtocolParams, kind: str) -> FlowGraph:
     """Selective-repeat ARQ state machine as a flow graph (nodes I,A,B,C,O).
 
     I: start of transmission.  A: the packet's own feedback arrives.
@@ -144,7 +131,7 @@ def build_uncoded_graph(
     counts the packets, "delay" the slots; both reduce to the
     closed-form MGFs.
     """
-    acc = Accounting(kind, z)
+    acc = Accounting(kind)
     k, T, d = p.k, p.T, p.d
     Pk = np.linalg.matrix_power(ch.Pc, k - 1)
     PT = np.linalg.matrix_power(ch.Pc, T - 1)

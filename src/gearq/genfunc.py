@@ -27,6 +27,8 @@ class ImproperMGFError(ArithmeticError):
 # convergent loops gave none below -2e-16 relative, and divergent loops
 # (with ||.||_inf < 1e9) none above -8e-11: the cut is 500x from both.
 _ROUNDING = 1e-13
+_SLACK = 1e-9  # a closure that returns has rho(a) < 1 - _SLACK
+_MASS_TOL = 1e-6  # scalarize's largest accepted |phi(1) - 1|
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,7 @@ def spectral_radius(A: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(A))))
 
 
-def dual_geo(a: DualMatrix, slack: float = 1e-9) -> DualMatrix:
+def dual_geo(a: DualMatrix) -> DualMatrix:
     """Geometric closure sum_{j>=0} a^j = (I - a)^(-1) with derivative.
 
     Precondition: a.val is entrywise nonnegative, as every branch gain
@@ -92,15 +94,15 @@ def dual_geo(a: DualMatrix, slack: float = 1e-9) -> DualMatrix:
     1 - rho(a) >= 1 / ||N||_inf.  The guard therefore reads convergence
     off N itself: it raises NonConvergenceError when I - a is singular,
     when N has a negative entry beyond rounding, or when ||N||_inf is
-    not below 1/slack.  A closure that returns has rho(a) < 1 - slack;
-    in protocol terms, fewer than 1/slack expected loop traversals.
+    not below 1/_SLACK.  A closure that returns has rho(a) < 1 - _SLACK;
+    in protocol terms, fewer than 1/_SLACK expected loop traversals.
     """
     try:
         inv = np.linalg.inv(np.eye(a.n) - a.val)
     except np.linalg.LinAlgError:
         raise NonConvergenceError("I - a is singular: self-loop spectral radius 1") from None
     norm = np.abs(inv).sum(axis=1).max()
-    if not norm < 1.0 / slack:
+    if not norm < 1.0 / _SLACK:
         raise NonConvergenceError(f"||(I - a)^-1||_inf = {norm:.3g}: loop gain too close to 1")
     if inv.min() < -_ROUNDING * norm:
         raise NonConvergenceError("(I - a)^-1 has a negative entry: loop gain above 1")
@@ -133,19 +135,13 @@ def dual_sum_truncated(
     return DualMatrix(val, der)
 
 
-def scalarize(
-    pi_I: np.ndarray,
-    Phi: DualMatrix,
-    *,
-    check: bool = True,
-    tol: float = 1e-6,
-) -> tuple[float, float]:
+def scalarize(pi_I: np.ndarray, Phi: DualMatrix, *, check: bool = True) -> tuple[float, float]:
     """Reduce a matrix MGF to (phi(z), phi'(z)) for a start vector pi_I.
 
     phi(z) = pi_I Phi(z) 1 / (pi_I 1); the derivative is the mean when
     z = 1.  With check=True (evaluation at z = 1), a deviation of phi(1)
-    from 1 beyond tol raises ImproperMGFError: the protocol model or a
-    series truncation lost probability mass.
+    from 1 beyond _MASS_TOL raises ImproperMGFError: the protocol model
+    or a series truncation lost probability mass.
     """
     if np.min(pi_I) < 0:
         raise ValueError("pi_I must be non-negative")
@@ -153,6 +149,6 @@ def scalarize(
     ones = np.ones(Phi.n)
     value = float(pi_I @ Phi.val @ ones) / norm
     mean = float(pi_I @ Phi.der @ ones) / norm
-    if check and abs(value - 1.0) > tol:
-        raise ImproperMGFError(f"phi(1) = {value!r} deviates from 1 beyond {tol}")
+    if check and abs(value - 1.0) > _MASS_TOL:
+        raise ImproperMGFError(f"phi(1) = {value!r} deviates from 1 beyond {_MASS_TOL}")
     return value, mean

@@ -191,9 +191,6 @@ def _pack(end: np.ndarray, wait: np.ndarray) -> np.ndarray:
     return step
 
 
-_IDLE = _pack(np.zeros((1, 4, 12)), np.eye(4, 12)[None])  # ends nothing, passes the wait on
-
-
 def _chain(wait: np.ndarray, steps: np.ndarray):
     """Step [val | d/dz_packets | d/dz_slots] rows `wait` (or a stack) through `steps`:
     their ends, the last wait."""
@@ -212,26 +209,26 @@ def _recovery_walk(att: AttemptModel, p: ProtocolParams, z):
     the walk in both counts at z, and a bound on the error of its means.
 
     Slot j >= 1 (the combining index) ends the walk with X0(j) and
-    continues it with X1(j).  The d-slot lead and blocks of whole T-slot
-    periods are each stepped from the identity, and dual_geo over a
-    block's last period closes the rest.  Rates never rise, so that
-    closure keeps the surviving mass and over-counts its future: its
-    future mean on the surviving mass, in either count, bounds the error
-    of that mean from every start state (at z = (1, 1)); the bound is the
-    larger of the two.  The walk stops once the bound is at most
-    _CERTIFIED, or at once (bound 0) at the limit rates eps_B(inf).
+    continues it with X1(j).  The timer expires at slot d + 1 <= T and
+    every T slots on, so every T-slot period from slot 1 sends one packet.
+    Blocks of whole periods are each stepped from the identity, and
+    dual_geo over a block's last period closes the rest.  Rates never
+    rise, so that closure keeps the surviving mass and over-counts its
+    future: its future mean on the surviving mass, in either count,
+    bounds the error of that mean from every start state (at z = (1, 1));
+    the bound is the larger of the two.  The walk stops once the bound is
+    at most _CERTIFIED, or at once (bound 0) at the limit rates
+    eps_B(inf).
     """
     total, wait, limit = np.zeros((4, 12)), np.eye(4, 12), att.eps_B(np.inf)
-    j, lead, per_block = p.d + 1, p.d, -(-_BLOCK // p.T)
+    j, per_block = 1, -(-_BLOCK // p.T)
     while j <= 10**6:
         exact = att.eps_B(j) == limit  # and so is every later rate
         n = 1 if exact else per_block
-        steps = _steps(att, p, z, j - lead, lead + n * p.T)
-        if lead:  # the lead ends a period of idle steps
-            steps = np.concatenate((np.repeat(_IDLE, p.T - lead, axis=0), steps))
-        ends, last = _chain(np.eye(4, 12), steps.reshape(-1, p.T, 12, 24).swapaxes(0, 1))
+        steps = _steps(att, p, z, j, n * p.T).reshape(n, p.T, 12, 24)
+        ends, last = _chain(np.eye(4, 12), steps.swapaxes(0, 1))
         sums = ends.sum(axis=0)
-        kernels = _pack(sums, last)  # the lead and the periods, stepped side by side
+        kernels = _pack(sums, last)  # the periods, stepped side by side
         ends, wait = _chain(wait, kernels[:-1])
         total = total + ends.sum(axis=0)
         tail = dual_mul(dual_geo(_stacked(last[-1])), _stacked(sums[-1]))
@@ -239,7 +236,7 @@ def _recovery_walk(att: AttemptModel, p: ProtocolParams, z):
         if bound <= _CERTIFIED:
             return dual_add(_stacked(total), dual_mul(_stacked(wait), tail)), bound
         ends, wait = _chain(wait, kernels[-1:])
-        total, j, lead = total + ends[0], j + n * p.T, 0
+        total, j = total + ends[0], j + n * p.T
     raise NonConvergenceError("recovery walk not certified in 1000000 slots")
 
 

@@ -43,10 +43,11 @@ class SimConfig:
     """One reproducible run: protocol, composite channel, seed, horizon.
 
     ch is the joint forward/reverse channel: build_composite, or the
-    cached symmetric_composite of a link.  horizon counts delivered
-    packets (delivered frames for the coded scheme).  Statistics need
-    horizon >= 1000, and seeds are >= 0 (check).  batch is the number of
-    lanes run side by side.
+    cached symmetric_composite of a link; a link direction that erases
+    every packet (eps = 1) is a ValueError, since no episode would end.
+    horizon counts delivered packets (delivered frames for the coded
+    scheme).  Statistics need horizon >= 1000, and seeds are >= 0
+    (check).  batch is the number of lanes run side by side.
     """
 
     params: ProtocolParams
@@ -57,6 +58,9 @@ class SimConfig:
 
     def __post_init__(self):
         self.check(self.seed, self.horizon)
+        for name, half in (("forward", self.ch.fwd), ("reverse", self.ch.rev)):
+            if half.eps == 1.0:
+                raise ValueError(f"the {name} link erases every packet (eps = 1): no episode ends")
         if self.batch < 1:
             raise ValueError("batch must be >= 1")
 
@@ -78,7 +82,6 @@ class SimStats:
     tau_stderr: float
     delay_mean_hat: float
     delay_stderr: float
-    throughput_hat: float
     delivered: int
     slots_elapsed: int
     iterations: int
@@ -109,7 +112,6 @@ class _Moments:
             tau_stderr=float(np.sqrt(var_tau / n)),
             delay_mean_hat=d_mean,
             delay_stderr=float(np.sqrt(var_d / n)),
-            throughput_hat=1.0 / tau_mean,
             delivered=n,
             slots_elapsed=slots,
             iterations=iterations, retired_lane_steps=retired_lane_steps,

@@ -119,10 +119,10 @@ def test_composite_invariants():
     assert np.allclose(ch.P0x, ch.P00 + ch.P01, atol=TOL)
     assert np.allclose(ch.Px1, ch.P01 + ch.P11, atol=TOL)
     assert np.allclose(ch.pi_c @ ch.Pc, ch.pi_c, atol=TOL)
-    assert ch.pi_c @ (ch.P10 + ch.P11) @ np.ones(4) == pytest.approx(ch.eps, abs=TOL)
+    assert ch.pi_c @ (ch.P10 + ch.P11) @ np.ones(4) == pytest.approx(ch.fwd.eps, abs=TOL)
     assert np.allclose(ch.pi_I, ch.pi_c @ ch.P0x, atol=TOL)
     # pi_I is left un-normalized: total mass 1 - eps
-    assert ch.pi_I.sum() == pytest.approx(1.0 - ch.eps, abs=TOL)
+    assert ch.pi_I.sum() == pytest.approx(1.0 - ch.fwd.eps, abs=TOL)
 
 
 def test_zero_error_composite():
@@ -195,7 +195,7 @@ def test_asymmetric_directions_allowed():
     fwd = build_half_channel(0.3, 0.0, 1.0, 0.3)
     rev = build_half_channel(0.5, 0.1, 0.9, 0.4)
     ch = build_composite(fwd, rev)
-    assert ch.eps == fwd.eps
+    assert ch.fwd.eps == fwd.eps
     assert np.allclose(ch.Pc.sum(axis=1), 1.0, atol=TOL)
     # Pxy: forward bit x, reverse bit y, forward component major
     for P, a, b in ((ch.P00, fwd.P0, rev.P0), (ch.P01, fwd.P0, rev.P1),

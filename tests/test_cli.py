@@ -123,7 +123,7 @@ def test_point_failure_recorded_not_fatal(monkeypatch):
     real = cli.uncoded_metrics
 
     def uncoded_metrics(ch, p):
-        if ch.eps == 0.5:
+        if ch.fwd.eps == 0.5:
             raise NonConvergenceError("loop gain too close to 1")
         return real(ch, p)
 
@@ -230,6 +230,19 @@ def test_main_exit_codes(tmp_path):
     with pytest.raises(SystemExit) as usage:
         main(["sweep", "--config", str(cfgfile), "--jobs", "0"])
     assert usage.value.code == 2
+
+
+@pytest.mark.parametrize("mode", ["sim", "both"])
+def test_sim_sweep_on_a_link_that_erases_every_packet_exits_3(tmp_path, mode):
+    # the simulator names the link, as the analysis does, rather than
+    # running forever: an error row per point, and status 3
+    cfgfile, out = tmp_path / "sweep.cfg", tmp_path / "res.csv"
+    cfgfile.write_text(BASIC.replace("0.1, 0.3", "1.0") + "eps_G = 1\n")
+    assert main(["sweep", "--config", str(cfgfile), "--out", str(out), "--mode", mode]) == 3
+    rows = out.read_text().splitlines()[1:]
+    sim_rows = [r for r in rows if ",sim," in r]
+    assert len(rows) == (2 if mode == "both" else 1) and len(sim_rows) == 1
+    assert "ValueError: the forward link erases every packet" in sim_rows[0]
 
 
 def test_main_unwritable_out_fails_before_the_grid(tmp_path, capsys, monkeypatch):

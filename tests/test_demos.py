@@ -1,4 +1,4 @@
-"""Every demo script runs to completion."""
+"""Every demo script runs to completion, with warnings as errors."""
 import os
 import subprocess
 import sys
@@ -7,23 +7,19 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize(
-    "demo",
-    [
-        "channel_basics",
-        "dual_derivatives",
-        "flowgraph_reduction",
-        "simulator_crosscheck",
-        "throughput_delay_curves",
-    ],
-)
+def test_demos_are_found():
+    assert DEMOS, "no demo script under demos/"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_exits_cleanly(demo):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / f"{demo}.py")],
+        [sys.executable, "-W", "error", str(demo)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr

@@ -136,7 +136,7 @@ def test_geo_guard_accepts_near_one_and_matches_inverse():
 
 def test_geo_guard_matches_spectral_radius_on_random_matrices():
     rng = np.random.default_rng(7)
-    slack = 1e-9
+    slack = 1e-9  # dual_geo's built-in slack
     checked = rejected = 0
     while checked < 200:
         n = int(rng.integers(1, 9))
@@ -150,7 +150,7 @@ def test_geo_guard_matches_spectral_radius_on_random_matrices():
             continue
         expect_reject = rho >= 1.0 - slack
         try:
-            dual_geo(dual_term(A, 1), slack=slack)
+            dual_geo(dual_term(A, 1))
             got_reject = False
         except NonConvergenceError:
             got_reject = True

@@ -539,8 +539,9 @@ def test_recovery_rates_that_rise_are_named():
     with pytest.raises(ParameterError, match="rates rise along the combining index"):
         build_arq_mgf(ch, p, rising, "delay")
     # a rise at the first slot of the walk's second block, on a slowly
-    # mixing channel whose walk needs that block
-    first_block = p.d + -(-protocols._BLOCK // p.T) * p.T
+    # mixing channel whose walk needs that block: only the check across
+    # two calls of _steps sees it
+    first_block = -(-protocols._BLOCK // p.T) * p.T
     slow = symmetric_composite(0.01, 0.0, 1.0, 0.3)
     step = AttemptModel(slow, lambda m: np.where(m <= first_block, 0.98, 0.99))
     with pytest.raises(ParameterError, match=f"rates rise along the combining index at {first_block + 1}"):
