@@ -18,10 +18,11 @@ gives both means (_arq_mgf).  build_arq_mgf views one of them, kind
 still build one kind per call.  Feedback for the packet sent in slot t
 arrives in slot t+k, so an error-free first exchange has delay k.  The
 recovery is one per-slot walk: each slot takes one slot, and each timer
-expiry sends one packet (the pointless retransmission).  One blocked
-kernel steps it, the values and both z-derivatives stacked side by side,
-and a closure over its last T-slot period ends it with a certified bound
-on the error of both means (_recovery_walk).
+expiry sends one packet (the pointless retransmission), so a path's
+weight is a closed-form monomial in its slot.  The walk multiplies plain
+4x4 values, weights them afterwards, and a closure over its last T-slot
+period ends it with a certified bound on the error of both means
+(_recovery_walk).
 """
 from __future__ import annotations
 
@@ -69,7 +70,7 @@ class ProtocolParams:
             raise ParameterError("need T >= k >= M >= N >= 1")
         if self.scheme != "coded" and (self.M != 1 or self.N != 1):
             raise ParameterError("M and N apply to the coded scheme only")
-        if self.gamma_over_rho < 0:
+        if not self.gamma_over_rho >= 0:
             raise ParameterError("gamma_over_rho must be >= 0")
 
     @property
@@ -154,7 +155,7 @@ class AttemptModel:
 
 def _weights(packets, slots, z):
     """z_packets**packets * z_slots**slots at z = (z_packets, z_slots), then
-    its derivative in each; numbers, or arrays of per-slot counts."""
+    its derivative in each; numbers, or arrays of per-path counts."""
     zp, zs = z
     value = zp**packets * zs**slots
     return value, packets * zp ** (packets - 1) * zs**slots, slots * zp**packets * zs ** (slots - 1)
@@ -166,42 +167,27 @@ def _term(coeff: np.ndarray, packets: int, slots: int, z) -> DualMatrix:
     return DualMatrix(c * coeff, np.multiply.outer((dp, ds), coeff))
 
 
-def _steps(att: AttemptModel, p: ProtocolParams, z, j: int, n: int) -> np.ndarray:
-    """Slots j..j+n-1 of the walk as _pack steps of X0 (end) and X1 (wait on, never rising),
-    each a slot and, at a timer expiry (slots d+1, d+1+T, ..., none before), a packet."""
-    i = np.arange(max(j - 1, 1), j + n)  # and the last call's last slot: a rise between calls shows
+def _periods(att: AttemptModel, p: ProtocolParams, j: int, n: int):
+    """The n T-slot periods of the walk from slot j, stepped side by side, each
+    from the identity, as plain value products: a (T, n, 4, 4) stack of each
+    period's ends X1 ... X1 X0 at each of its slots, and an (n, 4, 4) stack
+    of its waits X1 ... X1 over all T."""
+    i = np.arange(max(j - 1, 1), j + n * p.T)  # and the last block's last slot: a rise between blocks shows
     X0, X1 = att.observation(i)
     rises = (X1[1:] > X1[:-1]).any(axis=(-2, -1))
     if rises.any():
         raise ParameterError(f"recovery rates rise along the combining index at {i[1:][rises][0]}")
-    X0, X1, i = X0[-n:], X1[-n:], i[-n:]
-    w = np.array(_weights(((i - p.d - 1) % p.T == 0) * 1.0, 1, z))[..., None, None]
-    return _pack(*(np.concatenate(w * X, axis=-1) for X in (X0, X1)))
-
-
-def _pack(end: np.ndarray, wait: np.ndarray) -> np.ndarray:
-    """The 12x24 step [[E, E_p, E_s, W, W_p, W_s], [0, E, 0, 0, W, 0], [0, 0, E, 0, 0, W]]
-    (or a stack) that maps [val | d/dz_packets | d/dz_slots] rows to [ends | wait],
-    for an end and a wait in that layout."""
-    step = np.zeros(end.shape[:-2] + (12, 24))
-    for col, D in ((0, end), (12, wait)):
-        step[..., :4, col : col + 12] = D
-        for r in (4, 8):
-            step[..., r : r + 4, col + r : col + r + 4] = D[..., :4]
-    return step
-
-
-def _chain(wait: np.ndarray, steps: np.ndarray):
-    """Step [val | d/dz_packets | d/dz_slots] rows `wait` (or a stack) through `steps`:
-    their ends, the last wait."""
-    out = np.empty(steps.shape[:-2] + (4, 24))
+    steps = np.concatenate((X0, X1), axis=-1)[-n * p.T :].reshape(n, p.T, 4, 8).swapaxes(0, 1)
+    out, wait = np.empty((p.T, n, 4, 8)), np.eye(4)
     for t, step in enumerate(steps):
-        wait = np.matmul(wait, step, out=out[t])[..., 12:]
-    return out[..., :12], wait
+        wait = np.matmul(wait, step, out=out[t])[..., 4:]
+    return out[..., :4], wait
 
 
-def _stacked(s: np.ndarray) -> DualMatrix:
-    return DualMatrix(s[:, :4], s[:, 4:].reshape(4, 2, 4).swapaxes(0, 1))
+def _weighted(w: np.ndarray, paths: np.ndarray) -> DualMatrix:
+    """The sum of a stack of 4x4 paths, each weighted by its _weights w[:, ...], as a dual."""
+    s = (w.reshape(3, -1) @ paths.reshape(-1, 16)).reshape(3, 4, 4)
+    return DualMatrix(s[0], s[1:])
 
 
 def _recovery_walk(att: AttemptModel, p: ProtocolParams, z):
@@ -210,33 +196,41 @@ def _recovery_walk(att: AttemptModel, p: ProtocolParams, z):
 
     Slot j >= 1 (the combining index) ends the walk with X0(j) and
     continues it with X1(j).  The timer expires at slot d + 1 <= T and
-    every T slots on, so every T-slot period from slot 1 sends one packet.
-    Blocks of whole periods are each stepped from the identity, and
-    dual_geo over a block's last period closes the rest.  Rates never
-    rise, so that closure keeps the surviving mass and over-counts its
-    future: its future mean on the surviving mass, in either count,
-    bounds the error of that mean from every start state (at z = (1, 1));
-    the bound is the larger of the two.  The walk stops once the bound is
-    at most _CERTIFIED, or at once (bound 0) at the limit rates
-    eps_B(inf).
+    every T slots on, so every T-slot period from slot 1 sends one packet,
+    and a path that ends at slot j has the closed-form weight
+    z_packets**e * z_slots**j, e the expiries it passed.  Blocks of whole
+    periods are stepped as plain values (_periods), weighted by _weights
+    afterwards, and joined to the walk as duals; dual_geo over a block's
+    last period closes the rest.  Rates never rise, so that closure keeps
+    the surviving mass and over-counts its future: its future mean on the
+    surviving mass, in either count, bounds the error of that mean from
+    every start state (at z = (1, 1)); the bound is the larger of the two.
+    The walk stops once the bound is at most _CERTIFIED, or at once
+    (bound 0) at the limit rates eps_B(inf).
     """
-    total, wait, limit = np.zeros((4, 12)), np.eye(4, 12), att.eps_B(np.inf)
-    j, per_block = 1, -(-_BLOCK // p.T)
+    j, per_block, limit = 1, -(-_BLOCK // p.T), att.eps_B(np.inf)
     while j <= 10**6:
         exact = att.eps_B(j) == limit  # and so is every later rate
         n = 1 if exact else per_block
-        steps = _steps(att, p, z, j, n * p.T).reshape(n, p.T, 12, 24)
-        ends, last = _chain(np.eye(4, 12), steps.swapaxes(0, 1))
-        sums = ends.sum(axis=0)
-        kernels = _pack(sums, last)  # the periods, stepped side by side
-        ends, wait = _chain(wait, kernels[:-1])
-        total = total + ends.sum(axis=0)
-        tail = dual_mul(dual_geo(_stacked(last[-1])), _stacked(sums[-1]))
-        bound = 0.0 if exact else float((wait[:, :4] @ last[-1, :, :4] @ tail.der.sum(-1).T).max())
+        ends, last = _periods(att, p, j, n)
+        starts = np.empty((n + 1, 4, 4))
+        starts[0] = np.eye(4)
+        for q in range(n):
+            np.matmul(starts[q], last[q], out=starts[q + 1])
+        # the path that ends at slot t (from 0) of period q has taken q T + t + 1
+        # slots, and q expiries, one more from t = d on (slot d + 1 of its period)
+        t, q = np.arange(p.T)[:, None], np.arange(n, dtype=float)
+        w = np.array(_weights(q + (t >= p.d), q * p.T + t + 1, z))
+        block, after = _weighted(w, starts[:n] @ ends), _term(starts[n], n, n * p.T, z)
+        if j == 1:
+            total, wait = block, after
+        else:  # join the block to the walk so far
+            total, wait = dual_add(total, dual_mul(wait, block)), dual_mul(wait, after)
+        tail = dual_mul(dual_geo(_term(last[-1], 1, p.T, z)), _weighted(w[:, :, 0], ends[:, -1]))
+        bound = 0.0 if exact else float((wait.val @ tail.der.sum(-1).T).max())
         if bound <= _CERTIFIED:
-            return dual_add(_stacked(total), dual_mul(_stacked(wait), tail)), bound
-        ends, wait = _chain(wait, kernels[-1:])
-        total, j = total + ends[0], j + n * p.T
+            return dual_add(total, dual_mul(wait, tail)), bound
+        j += n * p.T
     raise NonConvergenceError("recovery walk not certified in 1000000 slots")
 
 

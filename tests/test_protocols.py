@@ -26,8 +26,6 @@ from gearq.protocols import (
     AttemptModel,
     ProtocolParams,
     _recovery_walk,
-    _steps,
-    _chain,
     attempt_model_for,
     build_arq_mgf,
     harq_metrics,
@@ -75,6 +73,8 @@ def test_params_validation():
         ProtocolParams(k=5, T=10, scheme="uncoded", M=2)      # M without coded
     with pytest.raises(ParameterError):
         ProtocolParams(k=5, T=10, scheme="nope")
+    with pytest.raises(ParameterError, match="gamma_over_rho must be >= 0"):
+        ProtocolParams(k=5, T=10, scheme="harq", gamma_over_rho=float("nan"))
     assert ProtocolParams(k=5, T=10).d == 5
 
 
@@ -464,9 +464,17 @@ def walk_far(att, p, slots=4000):
     """(mass, means) of each start state's recovery walk, summed slot by
     slot far past where the certified walk stops; means[0] counts
     packets, means[1] slots."""
-    ends, _ = _chain(np.eye(4, 12), _steps(att, p, ONE, 1, slots))
-    total = ends.sum(axis=0)
-    return total[:, :4].sum(axis=1), np.stack((total[:, 4:8].sum(axis=1), total[:, 8:].sum(axis=1)))
+    mass, means, wait = np.zeros(4), np.zeros((2, 4)), np.eye(4)
+    timer, expiries = p.d + 1, 0  # the timer runs out at slot d + 1, then every T slots
+    for j, (X0, X1) in enumerate(zip(*att.observation(np.arange(1, slots + 1))), start=1):
+        timer -= 1
+        if timer == 0:
+            timer, expiries = p.T, expiries + 1
+        ends = wait @ X0.sum(axis=1)
+        mass += ends
+        means += np.outer((expiries, j), ends)
+        wait = wait @ X1
+    return mass, means
 
 
 def certified_points():
@@ -540,7 +548,7 @@ def test_recovery_rates_that_rise_are_named():
         build_arq_mgf(ch, p, rising, "delay")
     # a rise at the first slot of the walk's second block, on a slowly
     # mixing channel whose walk needs that block: only the check across
-    # two calls of _steps sees it
+    # two calls of _periods sees it
     first_block = -(-protocols._BLOCK // p.T) * p.T
     slow = symmetric_composite(0.01, 0.0, 1.0, 0.3)
     step = AttemptModel(slow, lambda m: np.where(m <= first_block, 0.98, 0.99))
