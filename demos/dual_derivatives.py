@@ -7,7 +7,7 @@ the derivative.
 """
 import numpy as np
 
-from gearq import ProtocolParams, dual_geo, dual_mul, dual_term, scalarize
+from gearq import DualMatrix, ProtocolParams, dual_geo, dual_mul, dual_term, scalarize
 from gearq import symmetric_composite
 from gearq.protocols import attempt_model_for, build_arq_mgf
 
@@ -23,13 +23,21 @@ ch = symmetric_composite(0.3, 0.0, 1.0, 0.3)
 p = ProtocolParams(k=5, T=10)
 att = attempt_model_for(ch, p)
 
-value, mean = scalarize(ch.pi_I, build_arq_mgf(ch, p, att, "delay"))
+
+def delay_mgf(z_slots, check=True):
+    """(phi_D, its derivative) at z_slots: the MGF counts packets in
+    z_packets (der[0]) and slots in z_slots (der[1]), and the delay is the
+    slot count."""
+    phi = build_arq_mgf(ch, p, att, z=(1.0, z_slots))
+    return scalarize(ch.pi_I, DualMatrix(phi.val, phi.der[1]), check=check)
+
+
+value, mean = delay_mgf(1.0)
 print("\nphi_D(1) =", value, " (total probability)")
 print("mean delay from the dual derivative:", mean)
 
 h = 1e-5
-up, _ = scalarize(ch.pi_I, build_arq_mgf(ch, p, att, "delay", z=1 + h), check=False)
-dn, _ = scalarize(ch.pi_I, build_arq_mgf(ch, p, att, "delay", z=1 - h), check=False)
-fd = (up - dn) / (2 * h)
+fd = (delay_mgf(1 + h, check=False)[0] - delay_mgf(1 - h, check=False)[0]) / (2 * h)
 print("central finite difference:", fd)
 print("relative error:", abs(mean - fd) / mean)
+assert abs(mean - fd) <= 1e-6 * mean, "the dual mean and the finite difference disagree"

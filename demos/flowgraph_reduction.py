@@ -30,8 +30,12 @@ g3 = eliminate_node(g2, "A")
 print("branches:", sorted(f"{a}->{b}" for a, b in g3.branches))
 
 gain = graph_gain(g)
-closed = build_arq_mgf(ch, p, attempt_model_for(ch, p), "delay")
-print("\nmax |graph - closed form| on the value:", np.max(np.abs(gain.val - closed.val)))
-print("max |graph - closed form| on the derivative:", np.max(np.abs(gain.der - closed.der)))
+# the closed form counts both: der[0] packets, der[1] slots (the delay)
+closed = build_arq_mgf(ch, p, attempt_model_for(ch, p))
+val_err = np.max(np.abs(gain.val - closed.val))
+der_err = np.max(np.abs(gain.der - closed.der[1]))
+print("\nmax |graph - closed form| on the value:", val_err)
+print("max |graph - closed form| on the derivative:", der_err)
+assert val_err <= 1e-12 and der_err <= 1e-12, "the graph and the closed form disagree"
 mean = ch.pi_I @ gain.der @ np.ones(4) / ch.pi_I.sum()
 print("mean delay from the reduced graph:", mean)

@@ -14,7 +14,6 @@ from .channel import (
     ParameterError,
     build_composite,
     build_half_channel,
-    stationary_distribution,
     symmetric_composite,
 )
 from .genfunc import (

@@ -7,7 +7,9 @@ chain whose observation matrices are Kronecker products of the per-link
 success/error matrices, one for each (forward bit, reverse bit) pair.
 build_composite splits the chain once; every consumer (the ARQ and coded
 analyses, the flow graph and the simulator) reads its splits from the
-one CompositeChannel of a link.
+one CompositeChannel of a link.  Stationary vectors are closed forms: a
+link's pi = (r, q) / (q + r) (Gilbert, "Capacity of a burst-noise
+channel", BSTJ 1960), and the joint chain's pi_fwd (x) pi_rev.
 """
 from __future__ import annotations
 
@@ -23,33 +25,6 @@ class ParameterError(ValueError):
 
 class DegenerateChainError(ValueError):
     """The chain is reducible; its stationary distribution is not unique."""
-
-
-def stationary_distribution(P: np.ndarray) -> np.ndarray:
-    """Stationary row vector of a row-stochastic matrix via a direct solve.
-
-    Solves pi @ P = pi together with sum(pi) = 1 by replacing one equation
-    of (P.T - I) x = 0 with the normalization row.  Small chains only; no
-    iterative methods.
-
-    Raises
-    ------
-    DegenerateChainError
-        If the system is singular or the solution fails to be a
-        probability vector (reducible chain).
-    """
-    n = P.shape[0]
-    A = P.T - np.eye(n)
-    A[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    try:
-        pi = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateChainError("chain has no unique stationary vector") from exc
-    if np.max(np.abs(pi @ P - pi)) > 1e-9 or np.min(pi) < -1e-12:
-        raise DegenerateChainError("chain has no unique stationary vector")
-    return np.clip(pi, 0.0, None)
 
 
 @dataclass(frozen=True)
@@ -80,8 +55,9 @@ class CompositeChannel:
     Observation index "xy" means forward bit x and reverse bit y (0 =
     delivered, 1 = erased).  State order is (G,G), (G,B), (B,G), (B,B),
     forward component major, so reverse state G is columns 0 and 2 of Pc
-    and reverse state B columns 1 and 3.  pi_I = pi_c @ P0x is kept
-    un-normalized; MGF scalarization divides by pi_I @ 1.
+    and reverse state B columns 1 and 3.  pi_c = pi_fwd (x) pi_rev in the
+    same order.  pi_I = pi_c @ P0x is kept un-normalized; MGF
+    scalarization divides by pi_I @ 1.
     """
 
     P00: np.ndarray
@@ -119,7 +95,7 @@ def build_half_channel(r: float, eps_G: float, eps_B: float, eps: float) -> Half
 
     * eps_G == eps_B (== eps): a constant erasure rate regardless of
       state.  The chain is made memoryless (both rows equal) with
-      q = 1 - r, which keeps the stationary solve well posed.
+      q = 1 - r, so that it mixes and pi = (r, 1 - r).
     * r == 0 with eps == eps_B: the chain is absorbed in B, giving a
       constant erasure rate eps_B; any positive q yields the same
       stationary behavior, so q = 1 is used.
@@ -139,6 +115,9 @@ def build_half_channel(r: float, eps_G: float, eps_B: float, eps: float) -> Half
         If any input is outside [0, 1], the ordering constraint fails,
         eps >= eps_B outside the boundary regimes above, or the implied
         q falls outside [0, 1].
+    DegenerateChainError
+        If q + r == 0 (r = 0 with eps < eps_B): the chain never leaves its
+        state, so its stationary vector is not unique.
     """
     for name, value in (("r", r), ("eps_G", eps_G), ("eps_B", eps_B), ("eps", eps)):
         _check_prob(name, value)
@@ -159,8 +138,10 @@ def build_half_channel(r: float, eps_G: float, eps_B: float, eps: float) -> Half
     if not 0.0 <= q <= 1.0:
         raise ParameterError(f"implied q={q} is outside [0, 1]")
 
+    if q + r == 0:
+        raise DegenerateChainError("r = q = 0: the link never changes state")
     P = np.array([[1.0 - q, q], [r, 1.0 - r]])
-    pi = stationary_distribution(P)
+    pi = np.array([r, q]) / (q + r)
     P0 = P @ np.diag([1.0 - eps_G, 1.0 - eps_B])
     P1 = P @ np.diag([eps_G, eps_B])
     _freeze(P, P0, P1, pi)
@@ -177,17 +158,26 @@ def build_composite(fwd: HalfChannel, rev: HalfChannel) -> CompositeChannel:
 
     Pxy = P_fwd,x (x) P_rev,y is the step with forward bit x and reverse
     bit y.  Marginals: P0x splits the composite step by a delivered
-    forward bit, Px0/Px1 by the reverse bit.  pi_c solves the stationary
-    equations of Pc = P_fwd (x) P_rev; pi_I = pi_c @ P0x is the
-    (un-normalized) state vector in force when a new packet is sent.
+    forward bit, Px0/Px1 by the reverse bit.  Pc = P_fwd (x) P_rev has the
+    stationary vector pi_c = pi_fwd (x) pi_rev of two independent links;
+    pi_I = pi_c @ P0x is the (un-normalized) state vector in force when a
+    new packet is sent.
+
+    Raises DegenerateChainError when Pc is reducible, so that pi_c is not
+    unique: a half that never changes state (q + r == 0), or two periodic
+    halves (q == r == 1), whose product splits into two classes.
     """
+    if fwd.q + fwd.r == 0 or rev.q + rev.r == 0:
+        raise DegenerateChainError("a link that never changes state: no unique stationary vector")
+    if fwd.q == fwd.r == rev.q == rev.r == 1:
+        raise DegenerateChainError("two periodic links: the joint chain splits into two classes")
     P00, P01 = kron(fwd.P0, rev.P0), kron(fwd.P0, rev.P1)
     P10, P11 = kron(fwd.P1, rev.P0), kron(fwd.P1, rev.P1)
     Pc = kron(fwd.P, rev.P)
     P0x = P00 + P01
     Px0 = P00 + P10
     Px1 = P01 + P11
-    pi_c = stationary_distribution(Pc)
+    pi_c = np.outer(fwd.pi, rev.pi).ravel()
     pi_I = pi_c @ P0x
     _freeze(P00, P01, P10, P11, P0x, Px0, Px1, Pc, pi_c, pi_I)
     return CompositeChannel(

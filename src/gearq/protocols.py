@@ -13,9 +13,9 @@ packets it transmits and how many slots it takes, and is marked
 z_packets**packets * z_slots**slots; at z = (1, 1) the transmission-time
 MGF (its mean counts packets) and the delay MGF (slots) share every
 value matrix, so one traversal that carries the derivative in each z
-gives both means (_arq_mgf).  build_arq_mgf views one of them, kind
-"tau" or "delay", through Accounting; coded frames and the flow graph
-still build one kind per call.  Feedback for the packet sent in slot t
+gives both means (build_arq_mgf: der[0] counts packets, der[1] slots).
+Coded frames and the flow graph still build one kind per call, through
+Accounting.  Feedback for the packet sent in slot t
 arrives in slot t+k, so an error-free first exchange has delay k.  The
 recovery is one per-slot walk: each slot takes one slot, and each timer
 expiry sends one packet (the pointless retransmission), so a path's
@@ -50,10 +50,11 @@ _CERTIFIED = 1e-15  # the recovery walk stops once its certified mean error is t
 class ProtocolParams:
     """Protocol configuration: RTT k, timeout T, scheme, coded frame shape.
 
-    Requires T >= k >= M >= N.  d = T - k slots remain on the timer when
-    a packet's feedback arrives; the coded frame's first-feedback
-    residual T - (k+M-1) may be negative for short timers, in which case
-    expiry actions clamp to the feedback slot.
+    Requires T >= k >= M >= N; M and N apply to coded only, gamma_over_rho
+    (the combining gain) to harq only.  d = T - k slots remain on the
+    timer when a packet's feedback arrives; the coded frame's
+    first-feedback residual T - (k+M-1) may be negative for short timers,
+    in which case expiry actions clamp to the feedback slot.
     """
 
     k: int
@@ -70,6 +71,8 @@ class ProtocolParams:
             raise ParameterError("need T >= k >= M >= N >= 1")
         if self.scheme != "coded" and (self.M != 1 or self.N != 1):
             raise ParameterError("M and N apply to the coded scheme only")
+        if self.scheme != "harq" and self.gamma_over_rho != 0:
+            raise ParameterError("gamma_over_rho applies to the harq scheme only")
         if not self.gamma_over_rho >= 0:
             raise ParameterError("gamma_over_rho must be >= 0")
 
@@ -113,13 +116,9 @@ class Accounting:
         if self.kind not in ("tau", "delay"):
             raise ValueError("kind must be 'tau' or 'delay'")
 
-    def power(self, packets, slots):
-        """The z-power of a branch; numbers, or arrays of per-slot counts."""
-        return slots if self.kind == "delay" else packets
-
     def term(self, coeff: np.ndarray, packets: int, slots: int) -> DualMatrix:
-        """Branch gain coeff * z**power(packets, slots) as a dual."""
-        return dual_term(coeff, self.power(packets, slots), self.z)
+        """Branch gain coeff * z**packets (kind "tau") or z**slots ("delay") as a dual."""
+        return dual_term(coeff, slots if self.kind == "delay" else packets, self.z)
 
 
 class AttemptModel:
@@ -234,11 +233,17 @@ def _recovery_walk(att: AttemptModel, p: ProtocolParams, z):
     raise NonConvergenceError("recovery walk not certified in 1000000 slots")
 
 
-def _arq_mgf(
+def build_arq_mgf(
     ch: CompositeChannel, p: ProtocolParams, att: AttemptModel, z=(1.0, 1.0)
 ) -> DualMatrix:
-    """The ARQ matrix MGF in both counts at z = (z_packets, z_slots): der[0]
-    is its derivative in z_packets (transmissions), der[1] in z_slots (delay)."""
+    """Full matrix MGF of the single-packet schemes (uncoded / harq) in both
+    counts at z = (z_packets, z_slots).
+
+    der[0] is its derivative in z_packets (transmissions per packet), der[1]
+    in z_slots (slots from first transmission to ACK receipt).  The packet's
+    own feedback sees the nominal channel; `att` governs the recovery by
+    cumulative feedback after an erased acknowledgment.
+    """
     Pk = np.linalg.matrix_power(ch.Pc, p.k - 1)
     PT = np.linalg.matrix_power(ch.Pc, p.T - 1)
     # the first transmission, then k - 1 slots to its feedback
@@ -249,26 +254,6 @@ def _arq_mgf(
     # the feedback (its slot, no packet): the ACK (P00), or an erased one (P01) and the walk
     recovery = dual_mul(_term(ch.P01, 0, 1, z), _recovery_walk(att, p, z)[0])
     return dual_mul(prefix, dual_mul(loop, dual_add(_term(ch.P00, 0, 1, z), recovery)))
-
-
-def build_arq_mgf(
-    ch: CompositeChannel,
-    p: ProtocolParams,
-    att: AttemptModel,
-    kind: str,
-    z: float = 1.0,
-) -> DualMatrix:
-    """Full matrix MGF for the single-packet schemes (uncoded / harq).
-
-    kind selects the random variable: "tau" (transmissions per packet)
-    or "delay" (slots from first transmission to ACK receipt).  The
-    packet's own feedback sees the nominal channel; `att` governs the
-    recovery by cumulative feedback after an erased acknowledgment.
-    """
-    acc = Accounting(kind, z)
-    # z marks the count that kind picks; the other count is held at 1
-    phi = _arq_mgf(ch, p, att, acc.power((z, 1.0), (1.0, z)))
-    return DualMatrix(phi.val, phi.der[acc.power(0, 1)])
 
 
 def _metrics_from_mgfs(
@@ -305,7 +290,7 @@ def attempt_model_for(ch: CompositeChannel, p: ProtocolParams) -> AttemptModel:
 def _arq_metrics(ch: CompositeChannel, p: ProtocolParams, scheme: str) -> Metrics:
     if p.scheme != scheme:
         raise ParameterError(f"params do not select the {scheme} scheme")
-    phi = _arq_mgf(ch, p, attempt_model_for(ch, p))
+    phi = build_arq_mgf(ch, p, attempt_model_for(ch, p))
     return _metrics_from_mgfs(ch, 1, *(DualMatrix(phi.val, der) for der in phi.der))
 
 

@@ -10,7 +10,7 @@ from gearq.channel import symmetric_composite
 from gearq.cli import SweepConfig, run_sweep
 from gearq.coded import build_coded_mgf, coded_metrics, default_coded_kernel
 from gearq.flowgraph import build_uncoded_graph, graph_gain
-from gearq.genfunc import scalarize
+from gearq.genfunc import DualMatrix, scalarize
 from gearq.protocols import (
     AttemptModel,
     ProtocolParams,
@@ -97,9 +97,9 @@ def test_criterion_3_constant_harq_equals_uncoded():
         for T in T_GRID:
             mu = uncoded_metrics(ch, ProtocolParams(k=K, T=T))
             p = ProtocolParams(k=K, T=T, scheme="harq", gamma_over_rho=10 * eps)
-            const = AttemptModel(ch, ch.rev.eps_B)
-            _, tau = scalarize(ch.pi_I, build_arq_mgf(ch, p, const, "tau"))
-            _, delay = scalarize(ch.pi_I, build_arq_mgf(ch, p, const, "delay"))
+            phi = build_arq_mgf(ch, p, AttemptModel(ch, ch.rev.eps_B))
+            # der[0] counts packets (tau), der[1] slots (delay)
+            tau, delay = (scalarize(ch.pi_I, DualMatrix(phi.val, der))[1] for der in phi.der)
             worst = max(
                 worst,
                 abs(mu.tau_mean - tau),
@@ -115,14 +115,13 @@ def test_criterion_4_graph_engine_oracle():
         ch = channel(eps)
         for T in T_GRID:
             p = ProtocolParams(k=K, T=T)
-            att = attempt_model_for(ch, p)
-            for kind in ("tau", "delay"):
-                closed = build_arq_mgf(ch, p, att, kind)
+            closed = build_arq_mgf(ch, p, attempt_model_for(ch, p))
+            for der, kind in zip(closed.der, ("tau", "delay")):
                 gg = graph_gain(build_uncoded_graph(ch, p, kind))
                 worst = max(
                     worst,
                     float(np.max(np.abs(closed.val - gg.val))),
-                    float(np.max(np.abs(closed.der - gg.der))),
+                    float(np.max(np.abs(der - gg.der))),
                 )
     report(4, f"flow graph == closed form, worst diff = {worst:.2e}", worst <= 1e-12)
 
@@ -150,9 +149,10 @@ def test_criterion_5_derivative_oracle():
                     att = attempt_model_for(ch, p)
 
                     def phi(z, kind):
-                        return scalarize(
-                            ch.pi_I, build_arq_mgf(ch, p, att, kind, z), check=False
-                        )
+                        # z on the kind's count: der[0] packets (tau), der[1] slots
+                        i = ("tau", "delay").index(kind)
+                        mgf = build_arq_mgf(ch, p, att, (z, 1.0) if i == 0 else (1.0, z))
+                        return scalarize(ch.pi_I, DualMatrix(mgf.val, mgf.der[i]), check=False)
 
                 for kind in ("tau", "delay"):
                     _, mean = phi(1.0, kind)

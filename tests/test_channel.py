@@ -9,7 +9,6 @@ from gearq.channel import (
     build_composite,
     build_half_channel,
     kron,
-    stationary_distribution,
     symmetric_composite,
 )
 
@@ -140,13 +139,59 @@ def test_identity_chain_kron_and_degeneracy():
     zero = np.zeros((2, 2))
     splits = [kron(a, b) for a in (eye, zero) for b in (eye, zero)]
     assert np.allclose(sum(splits), np.eye(4), atol=TOL)
-    with pytest.raises(DegenerateChainError):
-        stationary_distribution(np.eye(4))
     # the identity chain never mixes: its composite has no stationary vector
     stuck = HalfChannel(r=0.0, q=0.0, eps_G=0.0, eps_B=0.0, P=eye, P0=eye, P1=zero,
                         pi=np.array([0.5, 0.5]), eps=0.0)
     with pytest.raises(DegenerateChainError):
         build_composite(stuck, stuck)
+
+
+def solved_pi(P):
+    """The stationary vector by a linear solve: pi (P - I) = 0 with one
+    equation replaced by sum(pi) = 1."""
+    A = P.T - np.eye(len(P))
+    A[-1] = 1.0
+    return np.linalg.solve(A, np.eye(len(P))[-1])
+
+
+def random_halves(n, seed):
+    """n random admissible links, with eps_G > 0 and eps_B < 1."""
+    rng, halves = np.random.default_rng(seed), []
+    while len(halves) < n:
+        eg, eb, r = rng.uniform(0, 0.4), rng.uniform(0.6, 1.0), rng.uniform(0.05, 1.0)
+        eps = rng.uniform(eg, eb * 0.95)
+        if r * (eps - eg) / (eb - eps) <= 1:
+            halves.append(build_half_channel(r, eg, eb, eps))
+    return halves
+
+
+def test_closed_form_stationary_vectors_match_a_solve():
+    # pi = (r, q) / (q + r) per link, pi_c = pi_fwd (x) pi_rev on the
+    # joint chain, forward major; every pair is asymmetric
+    halves = random_halves(50, seed=5)
+    for h in halves:
+        assert np.max(np.abs(h.pi - solved_pi(h.P))) <= 1e-14
+    for fwd, rev in zip(halves, halves[1:] + halves[:1]):
+        ch = build_composite(fwd, rev)
+        assert np.max(np.abs(ch.pi_c - solved_pi(ch.Pc))) <= 1e-14
+        assert np.array_equal(ch.pi_c, np.kron(fwd.pi, rev.pi))
+
+
+def test_links_without_a_unique_stationary_vector_raise():
+    # r = 0 below eps_B: q = 0 too, and the link never changes state
+    with pytest.raises(DegenerateChainError):
+        build_half_channel(0.0, 0.0, 1.0, 0.3)
+    # r = q = 1 alternates: one such link mixes, but two in a product
+    # alternate in step and split the joint chain into two classes
+    periodic = build_half_channel(1.0, 0.0, 1.0, 0.5)
+    assert periodic.q == periodic.r == 1.0 and periodic.pi.tolist() == [0.5, 0.5]
+    with pytest.raises(DegenerateChainError):
+        symmetric_composite(1.0, 0.0, 1.0, 0.5)
+    # a periodic link paired with an aperiodic one mixes
+    aperiodic = build_half_channel(0.3, 0.0, 1.0, 0.3)
+    for fwd, rev in ((periodic, aperiodic), (aperiodic, periodic)):
+        ch = build_composite(fwd, rev)
+        assert np.max(np.abs(ch.pi_c - solved_pi(ch.Pc))) <= 1e-14
 
 
 def test_row_sums_random_parameters():

@@ -12,6 +12,7 @@ from gearq.channel import (
 from gearq.coded import build_coded_mgf, coded_metrics, default_coded_kernel
 from gearq.flowgraph import build_uncoded_graph
 from gearq.genfunc import (
+    DualMatrix,
     NonConvergenceError,
     dual_add,
     dual_geo,
@@ -36,6 +37,7 @@ import exhaustive
 
 EPS_GRID = [round(0.05 * i, 2) for i in range(1, 13)]
 ONE = (1.0, 1.0)  # (z_packets, z_slots) where both means are read
+KINDS = ("tau", "delay")  # build_arq_mgf's der[0] counts packets, der[1] slots
 
 
 def channel(eps):
@@ -50,13 +52,18 @@ def harq_params(T, gamma_over_rho):
     return ProtocolParams(k=5, T=T, scheme="harq", gamma_over_rho=gamma_over_rho)
 
 
+def arq_kind(ch, p, att, kind, z=1.0):
+    """One kind of the two-count ARQ MGF, for the one-kind constructions it
+    is checked against: z on that kind's count, the other count at 1."""
+    i = KINDS.index(kind)
+    phi = build_arq_mgf(ch, p, att, (z, 1.0) if i == 0 else (1.0, z))
+    return DualMatrix(phi.val, phi.der[i])
+
+
 def constant_harq(ch, T):
     """(tau, delay) means of HARQ held at the nominal eps_B for every attempt."""
-    att = AttemptModel(ch, ch.rev.eps_B)
-    p = harq_params(T, 1.0)
-    _, tau = scalarize(ch.pi_I, build_arq_mgf(ch, p, att, "tau"))
-    _, delay = scalarize(ch.pi_I, build_arq_mgf(ch, p, att, "delay"))
-    return tau, delay
+    phi = build_arq_mgf(ch, harq_params(T, 1.0), AttemptModel(ch, ch.rev.eps_B))
+    return tuple(scalarize(ch.pi_I, DualMatrix(phi.val, der))[1] for der in phi.der)
 
 
 def combined_eps_B(ch, gamma_over_rho, m):
@@ -75,6 +82,10 @@ def test_params_validation():
         ProtocolParams(k=5, T=10, scheme="nope")
     with pytest.raises(ParameterError, match="gamma_over_rho must be >= 0"):
         ProtocolParams(k=5, T=10, scheme="harq", gamma_over_rho=float("nan"))
+    # a combining gain would be silently ignored by the other schemes
+    for scheme, shape in (("uncoded", {}), ("coded", {"M": 5, "N": 4})):
+        with pytest.raises(ParameterError, match="gamma_over_rho applies to the harq scheme only"):
+            ProtocolParams(k=5, T=10, scheme=scheme, gamma_over_rho=3.0, **shape)
     assert ProtocolParams(k=5, T=10).d == 5
 
 
@@ -184,11 +195,10 @@ def test_harq_constant_equals_uncoded_entrywise():
     ch = channel(0.3)
     p_unc = ProtocolParams(k=5, T=10)
     p_cmb = harq_params(10, 1.0)
-    for kind in ("tau", "delay"):
-        a = build_arq_mgf(ch, p_unc, attempt_model_for(ch, p_unc), kind)
-        b = build_arq_mgf(ch, p_cmb, AttemptModel(ch, ch.rev.eps_B), kind)
-        assert np.max(np.abs(a.val - b.val)) <= 1e-12
-        assert np.max(np.abs(a.der - b.der)) <= 1e-12
+    a = build_arq_mgf(ch, p_unc, attempt_model_for(ch, p_unc))
+    b = build_arq_mgf(ch, p_cmb, AttemptModel(ch, ch.rev.eps_B))
+    assert np.max(np.abs(a.val - b.val)) <= 1e-12
+    assert np.max(np.abs(a.der - b.der)) <= 1e-12
 
 
 def test_mgf_normalization_grid():
@@ -208,11 +218,10 @@ def test_mgf_value_range():
     # probability-built MGF values stay inside [0, 1] entrywise
     ch = channel(0.4)
     p = ProtocolParams(k=5, T=10)
-    for kind in ("tau", "delay"):
-        phi = build_arq_mgf(ch, p, attempt_model_for(ch, p), kind)
-        assert np.all(phi.val >= -1e-15)
-        assert np.all(phi.val <= 1.0 + 1e-9)
-        assert np.all(phi.val.sum(axis=1) <= 1.0 + 1e-9)
+    phi = build_arq_mgf(ch, p, attempt_model_for(ch, p))
+    assert np.all(phi.val >= -1e-15)
+    assert np.all(phi.val <= 1.0 + 1e-9)
+    assert np.all(phi.val.sum(axis=1) <= 1.0 + 1e-9)
 
 
 def finite_difference(build, h=1e-5):
@@ -240,11 +249,34 @@ def test_derivative_matches_finite_difference(scheme, kind):
             pi = ch.pi_I
 
             def build(z):
-                return scalarize(pi, build_arq_mgf(ch, p, att, kind, z), check=False)
+                return scalarize(pi, arq_kind(ch, p, att, kind, z), check=False)
 
         _, mean = build(1.0)
         fd = finite_difference(build)
         assert abs(mean - fd) / abs(mean) <= 1e-6
+
+
+@pytest.mark.parametrize("scheme", ["uncoded", "harq"])
+@pytest.mark.parametrize(
+    "r,eps,T", [(0.3, 0.3, 10), (0.01, 0.8, 5)], ids=["r0.3", "r0.01-two-blocks"]
+)
+def test_two_count_derivatives_off_both_ones(scheme, r, eps, T):
+    # at z = (0.97, 0.98) each derivative carries the other count's power,
+    # which z = (z, 1) or (1, z) never shows; the harq walk at r = 0.01
+    # joins a second block to its first
+    ch = symmetric_composite(r, 0.0, 1.0, eps)
+    gor = 10 * eps if scheme == "harq" else 0.0
+    p = ProtocolParams(k=5, T=T, scheme=scheme, gamma_over_rho=gor)
+    att = attempt_model_for(ch, p)
+    z, h, ones = np.array([0.97, 0.98]), 1e-6, np.ones(4)
+
+    def phi(at):
+        return ch.pi_I @ build_arq_mgf(ch, p, att, tuple(at)).val @ ones
+
+    der = build_arq_mgf(ch, p, att, tuple(z)).der
+    for i, step in enumerate(h * np.eye(2)):
+        fd = (phi(z + step) - phi(z - step)) / (2 * h)
+        assert abs(ch.pi_I @ der[i] @ ones - fd) <= 1e-8 * abs(fd), (KINDS[i], fd)
 
 
 def test_throughput_monotone_in_eps():
@@ -306,10 +338,9 @@ def test_harq_state_B_rule_caps_at_the_nominal_rate():
             assert mh.delay_mean <= mu.delay_mean and mh.tau_mean <= mu.tau_mean
     ch, p = channel(0.3), harq_params(10, 3.0)
     uncapped = AttemptModel(ch, lambda m: 1.0 - np.exp(-3.0 / m))
-    for kind in ("tau", "delay"):
-        a = build_arq_mgf(ch, p, attempt_model_for(ch, p), kind)
-        b = build_arq_mgf(ch, p, uncapped, kind)
-        assert np.array_equal(a.val, b.val) and np.array_equal(a.der, b.der)
+    a = build_arq_mgf(ch, p, attempt_model_for(ch, p))
+    b = build_arq_mgf(ch, p, uncapped)
+    assert np.array_equal(a.val, b.val) and np.array_equal(a.der, b.der)
 
 
 # single-packet shapes for the exact oracle: k = 1, T = k (d = 0), eps_G > 0
@@ -439,7 +470,7 @@ def test_recovery_walk_matches_reference_constructions(k, T):
             att = attempt_model_for(ch, p)
             for kind in ("tau", "delay"):
                 for z in (1.0, 0.99):
-                    got = build_arq_mgf(ch, p, att, kind, z)
+                    got = arq_kind(ch, p, att, kind, z)
                     ref = reference_arq_mgf(ch, p, att, kind, z)
                     for a, b in ((got.val, ref.val), (got.der, ref.der)):
                         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), (
@@ -454,7 +485,7 @@ def test_recovery_walk_matches_reference_past_one_block():
     att = attempt_model_for(ch, p)
     for kind in ("tau", "delay"):
         for z in (1.0, 0.99):
-            got = build_arq_mgf(ch, p, att, kind, z)
+            got = arq_kind(ch, p, att, kind, z)
             ref = reference_arq_mgf(ch, p, att, kind, z)
             for a, b in ((got.val, ref.val), (got.der, ref.der)):
                 assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), (kind, z)
@@ -545,7 +576,7 @@ def test_recovery_rates_that_rise_are_named():
     ch, p = channel(0.3), harq_params(10, 3.0)
     rising = AttemptModel(ch, lambda m: np.minimum(0.9, 0.1 + m / 100.0))
     with pytest.raises(ParameterError, match="rates rise along the combining index"):
-        build_arq_mgf(ch, p, rising, "delay")
+        build_arq_mgf(ch, p, rising)
     # a rise at the first slot of the walk's second block, on a slowly
     # mixing channel whose walk needs that block: only the check across
     # two calls of _periods sees it
@@ -553,16 +584,14 @@ def test_recovery_rates_that_rise_are_named():
     slow = symmetric_composite(0.01, 0.0, 1.0, 0.3)
     step = AttemptModel(slow, lambda m: np.where(m <= first_block, 0.98, 0.99))
     with pytest.raises(ParameterError, match=f"rates rise along the combining index at {first_block + 1}"):
-        build_arq_mgf(slow, p, step, "delay")
+        build_arq_mgf(slow, p, step)
 
 
-@pytest.mark.parametrize("build", ["arq", "coded", "graph"])
+@pytest.mark.parametrize("build", ["coded", "graph"])
 def test_every_builder_rejects_an_unknown_kind(build):
     ch, p = channel(0.3), ProtocolParams(k=5, T=10)
     with pytest.raises(ValueError, match="kind must be 'tau' or 'delay'"):
-        if build == "arq":
-            build_arq_mgf(ch, p, attempt_model_for(ch, p), "slots")
-        elif build == "coded":
+        if build == "coded":
             build_coded_mgf(ch, ProtocolParams(k=5, T=10, scheme="coded"), kind="slots")
         else:
             build_uncoded_graph(ch, p, "slots")
