@@ -1,10 +1,11 @@
 """Batch sweep front-end: grids over channel/protocol parameters to CSV.
 
 The sweep config is a flat ``key = value`` text file (lists are
-comma-separated); command-line flags override individual keys.  Each
-grid point yields one CSV row per evaluation mode with per-packet
-throughput figures, and re-running the same config reproduces the file
-byte for byte (fixed seeds, 12-significant-digit formatting).
+comma-separated); the --mode, --out and --seeds flags replace their keys'
+text before it is parsed and validated once.  Each grid point yields one
+CSV row per evaluation mode with per-packet throughput figures, and
+re-running the same config reproduces the file byte for byte (fixed
+seeds, 12-significant-digit formatting).
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import csv
 import io
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .channel import symmetric_composite
 from .coded import coded_metrics
@@ -93,8 +94,10 @@ class SweepConfig:
         return float(rule)
 
 
-def parse_sweep_config(text: str) -> SweepConfig:
-    """Parse the key = value config format; '#' starts a comment."""
+def parse_sweep_config(text: str, flags: dict[str, str] | None = None) -> SweepConfig:
+    """Parse the key = value config format; '#' starts a comment.  flags
+    (key -> text) replace the file's keys, and their errors name --key."""
+    flags = flags or {}
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -106,6 +109,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
         if key in raw:
             raise ValueError(f"config line {lineno}: duplicate key {key!r}")
         raw[key] = value
+    raw.update(flags)
 
     def split(value: str) -> list[str]:
         return [v.strip() for v in value.split(",") if v.strip()]
@@ -134,7 +138,8 @@ def parse_sweep_config(text: str) -> SweepConfig:
         try:
             kwargs[name] = known[key](value)
         except ValueError as exc:
-            raise ValueError(f"config key {key!r}: {exc}") from None
+            source = f"--{key}" if key in flags else f"config key {key!r}"
+            raise ValueError(f"{source}: {exc}") from None
     for req in ("eps", "T", "schemes"):
         if req not in kwargs:
             raise ValueError(f"config is missing required key {req!r}")
@@ -142,13 +147,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
 
 
 def _fmt(x) -> str:
-    if x is None or x == "":
-        return ""
-    if isinstance(x, str):
-        return x
-    if isinstance(x, int):
-        return str(x)
-    return format(float(x), ".12g")
+    return x if isinstance(x, str) else format(float(x), ".12g")
 
 
 def _params(cfg: SweepConfig, scheme: str, eps: float, T: int) -> ProtocolParams:
@@ -168,13 +167,9 @@ def _evaluate_point(args) -> list[dict]:
     estimates of the configured seeds.
     """
     cfg, scheme, eps, T = args
-    base = {
-        "scheme": scheme, "eps": eps, "k": cfg.k, "T": T,
-        "M": cfg.M if scheme == "coded" else 1,
-        "N": cfg.N if scheme == "coded" else 1,
-    }
     ch = symmetric_composite(cfg.r, cfg.eps_G, cfg.eps_B, eps)
     p = _params(cfg, scheme, eps, T)
+    base = {"scheme": scheme, "eps": eps, "k": p.k, "T": T, "M": p.M, "N": p.N}
     rows = []
     ana = None
     if cfg.mode in ("analytic", "both"):
@@ -252,24 +247,6 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> tuple[str, int]:
     return buf.getvalue(), n_err
 
 
-def _load_config(args) -> SweepConfig:
-    """The config file's SweepConfig with the command-line overrides applied."""
-    with open(args.config, encoding="utf-8") as fh:
-        cfg = parse_sweep_config(fh.read())
-    overrides = {}
-    if args.mode:
-        overrides["mode"] = args.mode
-    if args.out:
-        overrides["out"] = args.out
-    if args.seeds:
-        try:
-            overrides["seeds"] = tuple(int(s) for s in args.seeds.split(","))
-        except ValueError:
-            msg = f"--seeds takes comma-separated integers, not {args.seeds!r}"
-            raise ValueError(msg) from None
-    return replace(cfg, **overrides)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="gearq", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -277,7 +254,7 @@ def main(argv=None) -> int:
     sweep.add_argument("--config", required=True, help="sweep config file")
     sweep.add_argument("--mode", choices=["analytic", "sim", "both"])
     sweep.add_argument("--out", help="output CSV path (overrides config)")
-    sweep.add_argument("--seeds", help="comma-separated seed list")
+    sweep.add_argument("--seeds", help="seed list (overrides config)")
     sweep.add_argument("--jobs", type=int, default=1, help="worker processes")
     args = parser.parse_args(argv)
     if args.jobs < 1:
@@ -286,8 +263,10 @@ def main(argv=None) -> int:
     # a config error or an unwritable output is one line on stderr and
     # status 1, before any grid point runs; status 3 means some grid
     # points errored (argparse's usage errors are status 2)
+    flags = {key: v for key in ("mode", "out", "seeds") if (v := getattr(args, key)) is not None}
     try:
-        cfg = _load_config(args)
+        with open(args.config, encoding="utf-8") as fh:
+            cfg = parse_sweep_config(fh.read(), flags)
         fh = open(cfg.out, "w", encoding="utf-8", newline="")
     except (OSError, ValueError) as exc:
         print(f"gearq: error: {exc}", file=sys.stderr)

@@ -26,6 +26,7 @@ period ends it with a certified bound on the error of both means
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,11 +51,11 @@ _CERTIFIED = 1e-15  # the recovery walk stops once its certified mean error is t
 class ProtocolParams:
     """Protocol configuration: RTT k, timeout T, scheme, coded frame shape.
 
-    Requires T >= k >= M >= N; M and N apply to coded only, gamma_over_rho
-    (the combining gain) to harq only.  d = T - k slots remain on the
-    timer when a packet's feedback arrives; the coded frame's
-    first-feedback residual T - (k+M-1) may be negative for short timers,
-    in which case expiry actions clamp to the feedback slot.
+    Requires integers T >= k >= M >= N; M and N apply to coded only,
+    gamma_over_rho (the combining gain) to harq only.  d = T - k slots
+    remain on the timer when a packet's feedback arrives; the coded
+    frame's first-feedback residual T - (k+M-1) may be negative for short
+    timers, in which case expiry actions clamp to the feedback slot.
     """
 
     k: int
@@ -65,6 +66,12 @@ class ProtocolParams:
     gamma_over_rho: float = 0.0
 
     def __post_init__(self):
+        for name in ("k", "T", "M", "N"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ParameterError(f"{name} must be an integer, not {value!r}") from None
         if self.scheme not in SCHEMES:
             raise ParameterError(f"unknown scheme {self.scheme!r}")
         if not 1 <= self.N <= self.M <= self.k <= self.T:

@@ -23,11 +23,13 @@ next round start or timer expiry.
 Episode start states are drawn from the new-packet vector pi_I (the
 distribution the analysis assigns to the slot a fresh packet enters
 service).  One sampler draws every state (_chain_step, on cumulative
-rows), and one builder gives every power of the chain (_powers).  Lanes
-share the episode budget, and the seed fully determines every estimate.
+rows), and one builder gives every power of the chain (_powers).  The
+lane count is fixed (_LANES), and lanes share the episode budget, so a
+seed and a horizon determine every estimate.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import accumulate
 from types import SimpleNamespace
@@ -36,6 +38,8 @@ import numpy as np
 
 from .channel import CompositeChannel
 from .protocols import ProtocolParams, attempt_model_for
+
+_LANES = 4096  # lanes run side by side; part of what a seed reproduces
 
 
 @dataclass(frozen=True)
@@ -46,27 +50,33 @@ class SimConfig:
     cached symmetric_composite of a link; a link direction that erases
     every packet (eps = 1) is a ValueError, since no episode would end.
     horizon counts delivered packets (delivered frames for the coded
-    scheme).  Statistics need horizon >= 1000, and seeds are >= 0
-    (check).  batch is the number of lanes run side by side.
+    scheme).  Statistics need horizon >= 1000, and seeds are integers
+    >= 0 (check).
+
+    A lane steps slot by slot while a DoF waits unacknowledged, so a
+    reverse link that erases every feedback in state B and leaves B at
+    rate r costs about 1/r engine steps per run.
     """
 
     params: ProtocolParams
     ch: CompositeChannel
     seed: int
-    horizon: int = 100_000
-    batch: int = 4096
+    horizon: int
 
     def __post_init__(self):
         self.check(self.seed, self.horizon)
         for name, half in (("forward", self.ch.fwd), ("reverse", self.ch.rev)):
             if half.eps == 1.0:
                 raise ValueError(f"the {name} link erases every packet (eps = 1): no episode ends")
-        if self.batch < 1:
-            raise ValueError("batch must be >= 1")
 
     @staticmethod
     def check(seed: int, horizon: int) -> None:
         """Raise ValueError unless a run can take this seed and horizon."""
+        for name, value in (("seed", seed), ("horizon", horizon)):
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, not {value!r}") from None
         if seed < 0:
             raise ValueError(f"seed must be >= 0, not {seed}")
         if horizon < 1000:
@@ -164,7 +174,7 @@ def _chain_step(cumP: np.ndarray, state: np.ndarray, u: np.ndarray) -> np.ndarra
 
 
 def _run_lanes(cfg: SimConfig, fields, start, step) -> SimStats:
-    """Run cfg.horizon episodes over min(batch, horizon) lanes.
+    """Run cfg.horizon episodes over min(_LANES, horizon) lanes.
 
     The episode budget is shared: a lane whose episode ends starts the
     next unstarted one until horizon episodes have started, and every
@@ -178,7 +188,7 @@ def _run_lanes(cfg: SimConfig, fields, start, step) -> SimStats:
     """
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     init = np.cumsum(cfg.ch.pi_I / cfg.ch.pi_I.sum())[None]  # one cumulative row
-    B = min(cfg.batch, cfg.horizon)
+    B = min(_LANES, cfg.horizon)
     L = SimpleNamespace(
         **{f: np.zeros(B, dtype=np.int64) for f in ("state", "s", "tau", *fields)}
     )

@@ -333,6 +333,28 @@ def test_main_seed_override(tmp_path):
     assert out1.read_text() == out2.read_text()
 
 
+SIM = BASIC.replace("mode = analytic", "mode = sim\nhorizon = 2000")
+
+
+@pytest.mark.parametrize(
+    "config,flags,written",
+    [
+        (SIM + "seeds =\n", ["--seeds", "3"], SIM + "seeds = 3\n"),
+        (SIM.replace("2000", "10"), ["--mode", "analytic"], BASIC + "horizon = 10\n"),
+        (SIM, ["--seeds", "0,1,"], SIM + "seeds = 0, 1,\n"),
+    ],
+    ids=["seeds-fill-an-empty-key", "analytic-ignores-the-horizon", "trailing-comma"],
+)
+def test_a_flag_writes_what_its_key_writes(tmp_path, config, flags, written):
+    # a flag replaces its key's text, and the config is validated once, after it
+    (tmp_path / "flag.cfg").write_text(config)
+    (tmp_path / "key.cfg").write_text(written)
+    for name, extra in (("flag", flags), ("key", [])):
+        args = ["--config", str(tmp_path / f"{name}.cfg"), "--out", str(tmp_path / f"{name}.csv")]
+        assert main(["sweep", *args, *extra]) == 0, name
+    assert (tmp_path / "flag.csv").read_text() == (tmp_path / "key.csv").read_text()
+
+
 @pytest.mark.parametrize(
     "config,extra,message",
     [
@@ -342,6 +364,7 @@ def test_main_seed_override(tmp_path):
         (BASIC.replace("k = 5", "k = five"), [], "config key 'k'"),
         (BASIC, ["--seeds", "a"], "--seeds"),
         (BASIC + "seeds =\n", ["--mode", "sim"], "at least one seed"),
+        (SIM, ["--seeds", ""], "at least one seed"),
         (None, [], "No such file"),
         (BASIC + "gamma_over_rho = ten*eps\n", [], "gamma_over_rho"),
         (BASIC.replace("schemes = uncoded", "schemes = bogus"), [], "unknown scheme 'bogus'"),
@@ -369,10 +392,10 @@ def test_main_seed_override(tmp_path):
          "link at eps = 0.95: implied q=5.69"),
     ],
     ids=["unknown-key", "bad-mode", "sim-without-seeds", "bad-value", "bad-seeds",
-         "sim-override-without-seeds", "missing-file", "bad-gamma-rule", "unknown-scheme",
-         "duplicate-key", "tol-key", "empty-eps", "empty-T", "empty-schemes", "bad-frame-shape",
-         "timer-below-rtt", "short-horizon", "negative-seed", "negative-seed-override",
-         "repeated-eps", "repeated-T", "repeated-scheme", "repeated-seed",
+         "sim-override-without-seeds", "empty-seeds-override", "missing-file", "bad-gamma-rule",
+         "unknown-scheme", "duplicate-key", "tol-key", "empty-eps", "empty-T", "empty-schemes",
+         "bad-frame-shape", "timer-below-rtt", "short-horizon", "negative-seed",
+         "negative-seed-override", "repeated-eps", "repeated-T", "repeated-scheme", "repeated-seed",
          "repeated-seed-override", "r-not-a-probability", "eps-below-eps_G", "q-above-one"],
 )
 def test_main_config_errors_are_one_line(tmp_path, capsys, config, extra, message):

@@ -86,7 +86,15 @@ def test_params_validation():
     for scheme, shape in (("uncoded", {}), ("coded", {"M": 5, "N": 4})):
         with pytest.raises(ParameterError, match="gamma_over_rho applies to the harq scheme only"):
             ProtocolParams(k=5, T=10, scheme=scheme, gamma_over_rho=3.0, **shape)
+    # a fractional count is named here, not left to fail inside a later build
+    for name, value, scheme in (("T", 10.5, "uncoded"), ("k", 5.0, "uncoded"),
+                                ("M", 4.5, "coded"), ("N", "4", "coded")):
+        with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+            ProtocolParams(**{"k": 5, "T": 10, "scheme": scheme, name: value})
     assert ProtocolParams(k=5, T=10).d == 5
+    # numpy integers are integers
+    p = ProtocolParams(k=np.int64(5), T=np.int64(10))
+    assert uncoded_metrics(channel(0.3), p).delay_mean == 8.716480525683714
 
 
 def test_error_free_uncoded():

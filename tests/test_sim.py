@@ -158,10 +158,10 @@ def test_determinism():
 
 
 @pytest.mark.parametrize("scheme", SCHEME_KW)
-@pytest.mark.parametrize("horizon,batch", [(1_500, 400), (1_000, 4096)])
-def test_every_started_episode_is_delivered(scheme, horizon, batch):
-    # horizon % batch != 0, and batch > horizon
-    st = simulate(cfg(scheme, eps=0.4, horizon=horizon, batch=batch, **SCHEME_KW[scheme]))
+@pytest.mark.parametrize("horizon", [4_500, 1_000])
+def test_every_started_episode_is_delivered(scheme, horizon):
+    # lanes are reused and horizon % 4096 != 0, or lanes outnumber the horizon
+    st = simulate(cfg(scheme, eps=0.4, horizon=horizon, **SCHEME_KW[scheme]))
     assert st.delivered == horizon
 
 
@@ -175,6 +175,12 @@ def test_sample_floors():
 def test_config_validation():
     with pytest.raises(ValueError):
         cfg(horizon=10)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        cfg(seed=1.5)
+    with pytest.raises(ValueError, match="horizon must be an integer"):
+        cfg(horizon=1000.5)
+    numpy_ints = cfg(seed=np.int64(3), horizon=np.int64(1000))
+    assert simulate(numpy_ints) == simulate(cfg(seed=3, horizon=1000))
 
 
 @pytest.mark.parametrize("direction", ["forward", "reverse"])
@@ -186,13 +192,7 @@ def test_config_rejects_a_link_where_no_episode_ends(direction):
     else:  # absorbed in a state that erases everything
         ch = build_composite(half(0.3), half(1.0, r=0.0))
     with pytest.raises(ValueError, match=f"the {direction} link erases every packet"):
-        SimConfig(params=ProtocolParams(k=5, T=10), ch=ch, seed=0, horizon=1000, batch=100)
-
-
-@pytest.mark.parametrize("batch", [0, -5])
-def test_config_rejects_nonpositive_batch(batch):
-    with pytest.raises(ValueError, match="batch"):
-        cfg(batch=batch)
+        SimConfig(params=ProtocolParams(k=5, T=10), ch=ch, seed=0, horizon=1000)
 
 
 def test_moments_match_numpy():
@@ -279,7 +279,7 @@ def test_coded_sim_error_free():
 def test_error_free_run_takes_two_iterations(scheme):
     # every lane delivers in its first step (a coded frame in one round);
     # the 904 episodes left over run in a second step beside 3192 retired lanes
-    st = simulate(cfg(scheme, eps=0.0, horizon=5_000, batch=4096, **SCHEME_KW[scheme]))
+    st = simulate(cfg(scheme, eps=0.0, horizon=5_000, **SCHEME_KW[scheme]))
     assert st.iterations == 2
     assert st.retired_lane_steps == 4096 - 904
 
@@ -442,14 +442,15 @@ def reference_arq_rules(cfg):
 
 
 @pytest.mark.parametrize("scheme,gamma_over_rho", [("uncoded", 0.0), ("harq", 0.0), ("harq", 3.0)])
-@pytest.mark.parametrize("batch", [300, 4096])
-def test_one_packet_frames_match_reference_arq_rules(scheme, gamma_over_rho, batch):
-    # a packet is a one-packet frame: every SimStats field is equal
+@pytest.mark.parametrize("horizon", [4_500, 3_000])
+def test_one_packet_frames_match_reference_arq_rules(scheme, gamma_over_rho, horizon):
+    # a packet is a one-packet frame: every SimStats field is equal, with
+    # lanes reused and with more lanes than episodes
     for k, d, eps_G, eps_B in itertools.product((1, 5), (0, 7), (0.0, 0.2), (0.9, 1.0)):
         fwd, rev = half(0.4, eg=eps_G, eb=eps_B), half(0.35, r=0.2, eg=eps_G, eb=eps_B)
         ch = build_composite(fwd, rev)
         p = ProtocolParams(k=k, T=k + d, scheme=scheme, gamma_over_rho=gamma_over_rho)
-        c = SimConfig(params=p, ch=ch, seed=k + d, horizon=3_000, batch=batch)
+        c = SimConfig(params=p, ch=ch, seed=k + d, horizon=horizon)
         frames = _run_lanes(c, *_frame_rules(c))
         assert frames == _run_lanes(c, *reference_arq_rules(c)), (k, d, eps_G, eps_B)
 
