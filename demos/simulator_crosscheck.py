@@ -36,7 +36,9 @@ for scheme, eps, T in [
     print(f"{scheme:8s} {eps:.1f} {T:3d}   {ana:10.5f}   {tau:8.5f} ({tau_se:.5f})  {z:+.2f}")
 
 print()
-print("The simulator shares only the composite channel with the analytic")
-print("path: it draws the joint chain's states where the protocol observes")
-print("them, draws per-state erasures, runs timers and cumulative feedback,")
-print("and simply counts transmissions.")
+print("The simulator shares two things with the analytic path: the composite")
+print("channel, and the scheme's recovery rates (attempt_model_for), which it")
+print("reads for the feedback drawn while a packet waits unacknowledged.")
+print("Beyond those it draws the joint chain's states where the protocol")
+print("observes them, draws per-state erasures, runs timers and cumulative")
+print("feedback, and simply counts transmissions.")

@@ -11,14 +11,15 @@ state carries the forward bit of that slot's transmission together
 with the reverse bit of its feedback k slots later; D = k for an
 error-free exchange.
 
-One lane engine, _run_lanes, advances every lane to its next decision
-per iteration.  A lane that can decide nothing before a known slot
-jumps there in one draw from the rows of Pc^j, j slots on (the
-intermediate states are never observed, so this is exact in
-distribution): a step that starts a round sends all of it and lands on
-its last slot, the first its feedback can act on; a lane steps slot by
-slot while a DoF is unacknowledged, and jumps from an idle slot to the
-next round start or timer expiry.
+One lane engine, _run_lanes, runs a rule set (init, step): it writes
+init, each lane field's value at an episode's start, into every lane it
+starts, and step advances every lane to its next decision.  A lane that
+can decide nothing before a known slot jumps there in one draw from the
+rows of Pc^j, j slots on (the intermediate states are never observed,
+so this is exact in distribution): a step that starts a round sends all
+of it and lands on its last slot, the first its feedback can act on; a
+lane steps slot by slot while a DoF is unacknowledged, and jumps from
+an idle slot to the next round start or timer expiry.
 
 Episode start states are drawn from the new-packet vector pi_I (the
 distribution the analysis assigns to the slot a fresh packet enters
@@ -173,30 +174,28 @@ def _chain_step(cumP: np.ndarray, state: np.ndarray, u: np.ndarray) -> np.ndarra
     return landed
 
 
-def _run_lanes(cfg: SimConfig, fields, start, step) -> SimStats:
+def _run_lanes(cfg: SimConfig, init: dict, step) -> SimStats:
     """Run cfg.horizon episodes over min(_LANES, horizon) lanes.
 
     The episode budget is shared: a lane whose episode ends starts the
     next unstarted one until horizon episodes have started, and every
-    started episode runs to its end.  The engine owns the chain state,
-    the slot count s and the transmission count tau of every lane; the
-    rules name their other lane fields, set them up in start(L, idx)
-    for newly started lanes, and advance every lane by one decision in
-    step(L, u), given three uniforms per lane, returning where an
-    episode ended.  Retired lanes keep stepping unobserved, so the rules
-    need no mask of active lanes.
+    started episode runs to its end.  A rule set is (init, step): init
+    maps every lane field but the chain state (which the engine draws),
+    the slot count s and packet count tau among them, to its value at an
+    episode's start, and the engine writes it into every lane it starts;
+    step(L, u) advances every lane by one decision, given three uniforms
+    per lane, and returns where an episode ended.  Retired lanes keep
+    stepping unobserved, so the rules need no mask of active lanes.
     """
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    init = np.cumsum(cfg.ch.pi_I / cfg.ch.pi_I.sum())[None]  # one cumulative row
+    start_row = np.cumsum(cfg.ch.pi_I / cfg.ch.pi_I.sum())[None]  # one cumulative row
     B = min(_LANES, cfg.horizon)
-    L = SimpleNamespace(
-        **{f: np.zeros(B, dtype=np.int64) for f in ("state", "s", "tau", *fields)}
-    )
+    L = SimpleNamespace(**{f: np.zeros(B, dtype=np.int64) for f in ("state", *init)})
 
     def begin(idx):
-        L.state[idx] = _chain_step(init, np.zeros_like(idx), rng.random(idx.size))
-        L.s[idx] = 0
-        start(L, idx)
+        L.state[idx] = _chain_step(start_row, np.zeros_like(idx), rng.random(idx.size))
+        for f, value in init.items():
+            getattr(L, f)[idx] = value
 
     begin(np.arange(B))
     active = np.ones(B, dtype=bool)
@@ -229,8 +228,8 @@ def _frame_rules(cfg: SimConfig):
     a round's last slot, and as T >= k >= M no round start or expiry
     falls inside one, so one draw from the rows of Pc^(adv+n-1) lands on
     that slot, which then draws the round's DoF count and the feedback.
-    adv is 1 while a DoF is unacknowledged; from an idle slot it reaches
-    the next round start or timer expiry (slot k for a fresh frame).
+    The step works adv out from the schedule: 1 while a DoF waits
+    unacknowledged, else up to the next round start or timer expiry.
     A round's own feedback is drawn at the nominal reverse rates, and a
     slot that starts with a DoF unacknowledged at the scheme's recovery
     rates (attempt_model_for) at index ri, the slots of that wait so far;
@@ -260,21 +259,21 @@ def _frame_rules(cfg: SimConfig):
             miss = table(2 * top)
         return miss[2 * L.ri + rev]
 
-    def start(L, idx):
-        L.tau[idx] = L.c_rx[idx] = L.c_ack[idx] = 0
-        L.sched_start[idx] = L.adv[idx] = k
-        L.next_expiry[idx] = k + T
+    init = dict(s=0, tau=0, c_rx=0, c_ack=0, sched_start=k, next_expiry=k + T, ri=0)
 
     def step(L, u):
         u_step, u_f, u_r = u
         wait = L.c_rx > L.c_ack
+        # the next decision: the next slot while a DoF waits, else the next
+        # round start (always before its timer's expiry) or else the expiry
+        due = np.where(L.sched_start > L.s, L.sched_start, L.next_expiry)
+        first = np.where(wait, L.s + 1, due)
         # a round goes out at its scheduled start or when the timer expires:
         # the whole frame until a DoF is acknowledged, then single repairs
-        first = L.s + L.adv
         exp = first == L.next_expiry
         go = exp | (first == L.sched_start)
         length = 1 + (M - 1) * (L.c_ack == 0)
-        n, lead = go * length, L.adv - 1
+        n, lead = go * length, first - L.s - 1
         rest = n - go  # slots of the round after its first
         count_row = 16 * ((M + 1) * lead + n) + 4 * L.state
         L.state = _chain_step(jumps, 4 * (lead + rest) + L.state, u_step)
@@ -296,11 +295,9 @@ def _frame_rules(cfg: SimConfig):
         again = (prog & ~done) | (fb & ~prog & go)
         L.sched_start = np.where(again, s + k, L.sched_start)
         L.next_expiry = np.where(again, s + k + T, L.next_expiry)
-        upcoming = np.where(L.sched_start > s, L.sched_start, L.next_expiry)
-        L.adv = np.where(L.c_rx == L.c_ack, np.minimum(upcoming, L.next_expiry) - s, 1)
         return done
 
-    return ("c_rx", "c_ack", "sched_start", "next_expiry", "adv", "ri"), start, step
+    return init, step
 
 
 def simulate(cfg: SimConfig) -> SimStats:

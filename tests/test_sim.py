@@ -9,6 +9,7 @@ from gearq.coded import coded_metrics
 from gearq.protocols import ProtocolParams, attempt_model_for, harq_metrics, uncoded_metrics
 from gearq.sim import (
     SimConfig,
+    SimStats,
     _chain_step,
     _Moments,
     _frame_rules,
@@ -18,6 +19,8 @@ from gearq.sim import (
     pooled_estimate,
     simulate,
 )
+
+import exhaustive
 
 
 def half(eps, r=0.3, eg=0.0, eb=1.0):
@@ -155,6 +158,41 @@ def test_determinism():
         assert a == b, scheme
         c = simulate(cfg(scheme, seed=8, horizon=5_000, **kw))
         assert c != a, scheme
+
+
+LINK = (0.3, 0.0, 1.0, 0.3)  # symmetric_composite(r, eps_G, eps_B, eps)
+PINNED = [
+    ("uncoded", LINK, 1_000, SimStats(
+        1.467, 0.027439223749953272, 8.737, 0.19519178005233723, 1000, 8737, 21, 18560, 60)),
+    ("uncoded", LINK, 4_500, SimStats(
+        1.465111111111111, 0.012423638250527605, 8.651555555555555, 0.08520871662103013,
+        4500, 38932, 21, 75312, 43)),
+    ("harq", LINK, 1_000, SimStats(
+        1.417, 0.026250923793268686, 8.394, 0.18452849102509888, 1000, 8394, 10, 7903, 60)),
+    ("harq", LINK, 4_500, SimStats(
+        1.4242222222222223, 0.012076218396271994, 8.375111111111112, 0.08177077640453051,
+        4500, 37688, 12, 39692, 43)),
+    ("coded", LINK, 1_000, SimStats(
+        6.866, 0.07895596240943431, 16.11, 0.31819789439906737, 1000, 16110, 23, 19624, 79)),
+    ("coded", LINK, 4_500, SimStats(
+        6.846666666666667, 0.036742816548289196, 16.057111111111112, 0.14883951460673212,
+        4500, 72257, 27, 95132, 79)),
+    ("harq", (0.3, 0.1, 0.9, 0.4), 4_500, SimStats(
+        1.68, 0.016060379898032794, 10.514444444444445, 0.11671640444776973,
+        4500, 47315, 12, 37860, 68)),
+]
+
+
+@pytest.mark.parametrize(
+    "scheme,link,horizon,expect", PINNED,
+    ids=[f"{s}-eps_G{link[1]}-{h}" for s, link, h, _ in PINNED],
+)
+def test_random_stream_is_pinned(scheme, link, horizon, expect):
+    # every field, exactly (k = 5, T = 10, seed 0): a refactor of the rules
+    # or the engine that claims to keep the random stream must keep these
+    p = ProtocolParams(k=5, T=10, scheme=scheme, **SCHEME_KW[scheme])
+    ch = symmetric_composite(*link)
+    assert simulate(SimConfig(params=p, ch=ch, seed=0, horizon=horizon)) == expect
 
 
 @pytest.mark.parametrize("scheme", SCHEME_KW)
@@ -329,56 +367,6 @@ def test_round_rows_match_path_enumeration(h):
             assert np.allclose(rows[adv - 1, n], expect, rtol=0, atol=1e-12), (n, adv)
 
 
-def per_slot_coded_rules(cfg):
-    """The reference coded rules: one engine step per slot of a round."""
-    far = np.iinfo(np.int64).max // 4  # a slot no episode reaches
-    p, ch = cfg.params, cfg.ch
-    k, T, M, N = p.k, p.T, p.M, p.N
-    jumps = cum_rows(_powers(ch.Pc, k + T))
-    eps_f = np.array([ch.fwd.eps_G, ch.fwd.eps_B])
-    eps_r = np.array([ch.rev.eps_G, ch.rev.eps_B])
-
-    def start(L, idx):
-        for f in ("tau", "c_rx", "c_ack", "cnt_rem"):
-            getattr(L, f)[idx] = 0
-        L.sched_start[idx] = k
-        L.own_obs[idx] = far
-        L.next_expiry[idx] = k + T
-        L.adv[idx] = k
-
-    def step(L, u):
-        u_step, u_f, u_r = u
-        L.state = _chain_step(jumps, 4 * (L.adv - 1) + L.state, u_step)
-        L.s += L.adv
-        s = L.s
-        length = np.where(L.c_ack == 0, M, 1)
-        exp = s == L.next_expiry
-        go = exp | (s == L.sched_start)
-        L.cnt_rem = np.where(go, length, L.cnt_rem)
-        L.own_obs = np.where(go, s + length - 1, L.own_obs)
-        L.next_expiry += T * exp
-        cnt = L.cnt_rem > 0
-        L.tau += cnt
-        L.c_rx += cnt & (u_f >= eps_f[L.state // 2]) & (L.c_rx < N)
-        L.cnt_rem -= cnt
-        fb = (u_r >= eps_r[L.state % 2]) & (L.cnt_rem == 0)
-        prog = fb & (L.c_rx > L.c_ack)
-        pend = prog & (L.next_expiry > s) & (L.next_expiry < s + k)
-        L.tau += np.where(pend, np.minimum(s + k - L.next_expiry, length), 0)
-        L.c_ack = np.where(prog, L.c_rx, L.c_ack)
-        done = prog & (L.c_ack == N)
-        again = (prog & ~done) | (fb & ~prog & (s == L.own_obs))
-        L.sched_start = np.where(again, s + k, L.sched_start)
-        L.next_expiry = np.where(again, s + k + T, L.next_expiry)
-        idle = (L.cnt_rem == 0) & (L.c_rx == L.c_ack)
-        upcoming = np.where(L.sched_start > s, L.sched_start, L.next_expiry)
-        L.adv = np.where(idle, np.minimum(upcoming, L.next_expiry) - s, 1)
-        return done
-
-    fields = ("c_rx", "c_ack", "cnt_rem", "sched_start", "own_obs", "next_expiry", "adv")
-    return fields, start, step
-
-
 @pytest.mark.parametrize(
     "h,k,T,M,N",
     [
@@ -389,17 +377,19 @@ def per_slot_coded_rules(cfg):
     ],
     ids=["k5-T10-M5-N4", "eps_G0.1-k4-T9-M4-N3", "k3-T3-M3-N3"],
 )
-def test_round_step_matches_per_slot_rules(h, k, T, M, N):
+def test_round_step_matches_exact_coded_means(h, k, T, M, N):
+    # against the exact solve of the per-slot rules: an idle lane's advance
+    # one slot past its round start reads |z| > 100; count rows read one
+    # lead off bias the means by 0.2-0.5%, |z| 5.8-10.8 at this horizon
+    # (under 4 at 20,000 frames a seed)
     ch = build_composite(h, h)
     p = ProtocolParams(k=k, T=T, scheme="coded", M=M, N=N)
-    runs = {"round": [], "slot": []}
-    for seed in range(3):
-        c = SimConfig(params=p, ch=ch, seed=seed, horizon=20_000)
-        runs["round"].append(simulate(c))
-        runs["slot"].append(_run_lanes(c, *per_slot_coded_rules(c)))
-    (ta, sta, da, sda), (tb, stb, db, sdb) = (pooled_estimate(r) for r in runs.values())
-    assert abs(ta - tb) <= 4 * np.hypot(sta, stb)
-    assert abs(da - db) <= 4 * np.hypot(sda, sdb)
+    mass, e_tau, e_delay = exhaustive.coded(ch, p)
+    assert mass == pytest.approx(1.0, abs=1e-12)
+    stats = [simulate(SimConfig(params=p, ch=ch, seed=s, horizon=200_000)) for s in range(3)]
+    tm, ts, dm, ds = pooled_estimate(stats)
+    assert abs(e_tau - tm) <= 4 * ts
+    assert abs(e_delay - dm) <= 4 * ds
 
 
 def reference_arq_rules(cfg):
@@ -414,9 +404,7 @@ def reference_arq_rules(cfg):
     eps_f = np.array([ch.fwd.eps_G, ch.fwd.eps_B])
     eps_r = np.array([ch.rev.eps_G, ch.rev.eps_B])
 
-    def start(L, idx):
-        L.leg[idx] = WAIT_K
-        L.tau[idx] = 1
+    init = dict(s=0, tau=1, leg=WAIT_K, ecd=0, ri=0)
 
     def step(L, u):
         u_step, u_f, u_r = u
@@ -438,7 +426,7 @@ def reference_arq_rules(cfg):
         L.ecd = np.where(hit, T, np.where(rec, d or T, L.ecd))
         return ~f_err & ~r_err
 
-    return ("leg", "ecd", "ri"), start, step
+    return init, step
 
 
 @pytest.mark.parametrize("scheme,gamma_over_rho", [("uncoded", 0.0), ("harq", 0.0), ("harq", 3.0)])
