@@ -23,21 +23,20 @@ an idle slot to the next round start or timer expiry.
 
 Episode start states are drawn from the new-packet vector pi_I (the
 distribution the analysis assigns to the slot a fresh packet enters
-service).  One sampler draws every state (_chain_step, on cumulative
-rows), and one builder gives every power of the chain (_powers).  The
-lane count is fixed (_LANES), and lanes share the episode budget, so a
-seed and a horizon determine every estimate.
+service).  A chain state is the code 2 f + r of the halves' bits, each
+moved by its closed-form j-step law (_to_good).  The lane count is fixed
+(_LANES), and lanes share the episode budget, so a seed and a horizon
+determine every estimate.
 """
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import accumulate
 from types import SimpleNamespace
 
 import numpy as np
 
-from .channel import CompositeChannel
+from .channel import CompositeChannel, HalfChannel
 from .protocols import ProtocolParams, attempt_model_for
 
 _LANES = 4096  # lanes run side by side; part of what a seed reproduces
@@ -130,32 +129,30 @@ class _Moments:
         )
 
 
-def _powers(P: np.ndarray, n: int) -> np.ndarray:
-    """P^1 .. P^n stacked, each the one before it times P.
-
-    np.cumsum(_powers(P, n), axis=2).reshape(-1, s) are the cumulative
-    rows _chain_step inverts: row (j - 1) * s + state is row `state` of
-    P^j, for an s-state P.
-    """
-    return np.stack(list(accumulate([P] * n, np.matmul)))
+def _to_good(h: HalfChannel, j) -> np.ndarray:
+    """P(G after j slots | start G, B) of half h, [..., start], by the closed
+    form P^j = 1 pi + lam^j (I - 1 pi), lam = 1 - q - r (Gilbert, BSTJ 1960)."""
+    lam_j = (1.0 - h.q - h.r) ** np.asarray(j)[..., None]
+    return h.pi[0] + lam_j * (np.array([1.0, 0.0]) - h.pi[0])
 
 
-def _round_rows(leads: np.ndarray, P: np.ndarray, miss: np.ndarray, M: int) -> np.ndarray:
+def _round_rows(h: HalfChannel, leads: np.ndarray, M: int) -> np.ndarray:
     """Cumulative rows over c = 0..M of P(c received | start state y, landing state x).
 
-    From y a step moves by leads[i], then sends n packets on consecutive
-    slots of the chain P, each erased at rate miss[state], and lands on
-    the last one's state (the lead's when n = 0): row
-    ((i * (M + 1) + n) * s + y) * s + x, s = P.shape[0].  An x that y
-    cannot reach draws c = 0.
+    States are the forward half h's, the only ones that erase packets.
+    From y a step moves leads[i] slots, then sends n packets on
+    consecutive slots at h's erasure rates, and lands on the last one's
+    state (the lead's when n = 0): row ((i * (M + 1) + n) * 2 + y) * 2 + x.
+    An x that y cannot reach draws c = 0.
     """
-    s = P.shape[0]
+    miss = np.array([h.eps_G, h.eps_B])
     # R[n, c]: P(c received, landing state | state of the round's first slot)
-    R = np.zeros((M + 1, M + 1, s, s))
-    R[0, 0] = np.eye(s)
-    for n, move in enumerate([np.eye(s), *[P] * (M - 1)], start=1):
+    R = np.zeros((M + 1, M + 1, 2, 2))
+    R[0, 0] = np.eye(2)
+    for n, move in enumerate([np.eye(2), *[h.P] * (M - 1)], start=1):
         R[n] = R[n - 1] @ (move * miss) + np.roll(R[n - 1], 1, axis=0) @ (move * (1 - miss))
-    joint = np.moveaxis(leads[:, None, None] @ R, 2, -1)
+    good = _to_good(h, leads)[:, None, None]
+    joint = np.moveaxis(np.stack([good, 1 - good], axis=-1) @ R, 2, -1)
     total = joint.sum(axis=-1, keepdims=True)
     cum = np.cumsum(joint, axis=-1) / np.where(total > 0, total, 1.0)
     return np.where(total > 0, cum, 1.0).reshape(-1, M + 1)
@@ -226,7 +223,7 @@ def _frame_rules(cfg: SimConfig):
     frame's packets and slots.  A step lands adv slots on and sends the
     whole round that starts there, if any: feedback is acted on only at
     a round's last slot, and as T >= k >= M no round start or expiry
-    falls inside one, so one draw from the rows of Pc^(adv+n-1) lands on
+    falls inside one, so one draw from the halves' rows of P^j lands on
     that slot, which then draws the round's DoF count and the feedback.
     The step works adv out from the schedule: 1 while a DoF waits
     unacknowledged, else up to the next round start or timer expiry.
@@ -237,11 +234,9 @@ def _frame_rules(cfg: SimConfig):
     """
     p, ch = cfg.params, cfg.ch
     k, T, M, N = p.k, p.T, p.M, p.N
-    # Pc^1 .. Pc^(k+T+M-1): the timer never expires more than k + T slots ahead
-    powers = _powers(ch.Pc, k + T + M - 1)
-    jumps = np.cumsum(powers, axis=2).reshape(-1, 4)
-    eps_f = np.array([ch.fwd.eps_G, ch.fwd.eps_B])
-    counts = _round_rows(powers[: k + T], ch.Pc, eps_f[np.arange(4) // 2], M)
+    # [2 (j - 1) + y] for j <= k + T + M - 1: a timer expires at most k + T slots ahead
+    good_f, good_r = (_to_good(h, np.arange(1, k + T + M)).ravel() for h in (ch.fwd, ch.rev))
+    counts = _round_rows(ch.fwd, np.arange(1, k + T + 1), M)
     eps_r = np.array([ch.rev.eps_G, ch.rev.eps_B])
     att = attempt_model_for(ch, p)
 
@@ -275,9 +270,13 @@ def _frame_rules(cfg: SimConfig):
         length = 1 + (M - 1) * (L.c_ack == 0)
         n, lead = go * length, first - L.s - 1
         rest = n - go  # slots of the round after its first
-        count_row = 16 * ((M + 1) * lead + n) + 4 * L.state
-        L.state = _chain_step(jumps, 4 * (lead + rest) + L.state, u_step)
-        c = _chain_step(counts, count_row + L.state, u_f)
+        count_row = 4 * ((M + 1) * lead + n) + (L.state & 2)  # 2 y, y the forward bit
+        # row state of Pc^j, j = lead + rest + 1, has the cumulative entries (f r, f, f + r - f r)
+        i = 2 * (lead + rest)
+        f, r = good_f[i + (L.state >> 1)], good_r[i + (L.state & 1)]
+        fr = f * r
+        L.state = (u_step >= fr).astype(np.int64) + (u_step >= f) + (u_step >= f + r - fr)
+        c = _chain_step(counts, count_row + (L.state >> 1), u_f)
         L.s = s = first + rest
         L.tau += n
         L.c_rx = np.minimum(L.c_rx + c, N)

@@ -1,5 +1,6 @@
 """Simulator: chain statistics, exact limits, determinism, cross-checks."""
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,9 +14,9 @@ from gearq.sim import (
     _chain_step,
     _Moments,
     _frame_rules,
-    _powers,
     _round_rows,
     _run_lanes,
+    _to_good,
     pooled_estimate,
     simulate,
 )
@@ -37,9 +38,10 @@ def cfg(scheme="uncoded", eps=0.3, T=10, seed=0, horizon=20_000, **kw):
     return SimConfig(params=p, ch=build_composite(h, h), seed=seed, horizon=horizon, **kw)
 
 
-def cum_rows(mats):
-    """The cumulative rows of a stack of s x s matrices, as the rules build them."""
-    return np.cumsum(mats, axis=2).reshape(-1, mats.shape[-1])
+def cum_rows(P, js):
+    """The cumulative rows of P^j for j in js, stacked: row i * s + y is row y of P^js[i]."""
+    mats = np.stack([np.linalg.matrix_power(P, j) for j in js])
+    return np.cumsum(mats, axis=2).reshape(-1, P.shape[0])
 
 
 def run_chain(h, lanes, steps, seed, start=None):
@@ -100,7 +102,7 @@ def test_chain_step_matches_gathered_rows():
             P[:, 0] += 1e-3
             P /= P.sum(axis=1, keepdims=True)
             tables.append(np.cumsum(P, axis=1))
-            tables.append(cum_rows(_powers(P, 8)))  # stacked P^1 .. P^8
+            tables.append(cum_rows(P, range(1, 9)))  # stacked P^1 .. P^8
     # a last column that rounds below 1
     tables.append(np.array([[0.25, 0.5, 1.0 - 2**-40], [0.0, 0.0, 1.0 - 2**-30]]))
     for cumP in tables:
@@ -112,15 +114,38 @@ def test_chain_step_matches_gathered_rows():
         assert np.array_equal(_chain_step(cumP, state, u), gathered_row_step(cumP, state, u))
 
 
+EDGE_HALVES = {  # build_half_channel(r, eps_G, eps_B, eps)
+    "periodic": (1.0, 0.0, 1.0, 0.5),  # q = r = 1: lam = -1
+    "memoryless": (0.3, 0.2, 0.2, 0.2),  # q = 1 - r: lam = 0
+    "absorbed-B": (0.0, 0.0, 0.4, 0.4),  # r = 0, q = 1: lam = 0
+    "r1e-9": (1e-9, 0.0, 1.0, 0.5),
+    "eps_G0.1": (0.3, 0.1, 0.9, 0.4),
+}
+
+
+@pytest.mark.parametrize("link", EDGE_HALVES.values(), ids=EDGE_HALVES)
+def test_closed_form_matches_matrix_power(link):
+    h = build_half_channel(*link)
+    js = np.arange(65)
+    exact = np.stack([np.linalg.matrix_power(h.P, j)[:, 0] for j in js])
+    assert np.allclose(_to_good(h, js), exact, rtol=0, atol=1e-14)
+
+
 @pytest.mark.parametrize("j", [2, 5, 10])
 def test_jump_rows_match_repeated_steps(j):
-    # one draw from the rows of Pc^j lands where j single steps land
+    # the move a rule step makes from the halves' closed forms, j slots on,
+    # lands where j single steps land, both at the exact Pc^j
     h = half(0.4)
     ch = build_composite(h, half(0.3, eg=0.1, eb=0.9))
+    init, step = _frame_rules(SimConfig(params=ProtocolParams(k=5, T=10), ch=ch, seed=0, horizon=1000))
     lanes = 100_000
     rng = np.random.default_rng(j)
     start = rng.integers(0, 4, lanes)
-    jumped = _chain_step(cum_rows(_powers(ch.Pc, j)[[0, j - 1]]), 4 + start, rng.random(lanes))
+    # idle lanes at slot 0 whose one-packet round is due at slot j
+    L = SimpleNamespace(**{f: np.full(lanes, v) for f, v in init.items()}, state=start)
+    L.sched_start[:] = j
+    step(L, rng.random((3, lanes)))
+    jumped = L.state
     stepped = start
     cumP = np.cumsum(ch.Pc, axis=1)
     for _ in range(j):
@@ -161,6 +186,16 @@ def test_determinism():
 
 
 LINK = (0.3, 0.0, 1.0, 0.3)  # symmetric_composite(r, eps_G, eps_B, eps)
+ASYM = ((0.4, 0.1, 0.9, 0.4), (0.2, 0.0, 1.0, 0.35))  # forward, reverse halves
+
+
+def link_channel(link):
+    """symmetric_composite of one half's parameters, or build_composite of a pair."""
+    if len(link) == 2:
+        return build_composite(*(build_half_channel(*h) for h in link))
+    return symmetric_composite(*link)
+
+
 PINNED = [
     ("uncoded", LINK, 1_000, SimStats(
         1.467, 0.027439223749953272, 8.737, 0.19519178005233723, 1000, 8737, 21, 18560, 60)),
@@ -180,18 +215,21 @@ PINNED = [
     ("harq", (0.3, 0.1, 0.9, 0.4), 4_500, SimStats(
         1.68, 0.016060379898032794, 10.514444444444445, 0.11671640444776973,
         4500, 47315, 12, 37860, 68)),
+    ("coded", ASYM, 4_500, SimStats(
+        7.8886666666666665, 0.044163121870326755, 21.288666666666668, 0.19999160747823488,
+        4500, 95799, 50, 180349, 104)),
 ]
 
 
 @pytest.mark.parametrize(
     "scheme,link,horizon,expect", PINNED,
-    ids=[f"{s}-eps_G{link[1]}-{h}" for s, link, h, _ in PINNED],
+    ids=[f"{s}-{'asym' if link is ASYM else f'eps_G{link[1]}'}-{h}" for s, link, h, _ in PINNED],
 )
 def test_random_stream_is_pinned(scheme, link, horizon, expect):
     # every field, exactly (k = 5, T = 10, seed 0): a refactor of the rules
     # or the engine that claims to keep the random stream must keep these
     p = ProtocolParams(k=5, T=10, scheme=scheme, **SCHEME_KW[scheme])
-    ch = symmetric_composite(*link)
+    ch = link_channel(link)
     assert simulate(SimConfig(params=p, ch=ch, seed=0, horizon=horizon)) == expect
 
 
@@ -352,37 +390,40 @@ def brute_round_counts(P, miss, n):
 
 @pytest.mark.parametrize("h", [half(0.3), half(0.4, eg=0.1, eb=0.9)], ids=["eps_G0", "eps_G0.1"])
 def test_round_rows_match_path_enumeration(h):
-    ch = build_composite(h, h)
+    # rows over the forward half's states, against every path of its chain
     k, T, M = 5, 10, 5
-    miss = np.array([h.eps_G, h.eps_G, h.eps_B, h.eps_B])
-    leads = [np.linalg.matrix_power(ch.Pc, j) for j in range(1, k + T + 1)]
-    rows = _round_rows(np.stack(leads), ch.Pc, miss, M).reshape(k + T, M + 1, 4, 4, M + 1)
+    miss = np.array([h.eps_G, h.eps_B])
+    leads = [np.linalg.matrix_power(h.P, j) for j in range(1, k + T + 1)]
+    rows = _round_rows(h, np.arange(1, k + T + 1), M).reshape(k + T, M + 1, 2, 2, M + 1)
     for n in (0, 1, M):
-        paths = brute_round_counts(ch.Pc, miss, n)
+        paths = brute_round_counts(h.P, miss, n)
         for adv, lead in enumerate(leads, start=1):
             joint = np.einsum("ya,axc->yxc", lead, paths)
             cond = joint / joint.sum(axis=-1, keepdims=True)
-            expect = np.ones((4, 4, M + 1))
+            expect = np.ones((2, 2, M + 1))
             expect[..., : n + 1] = np.cumsum(cond, axis=-1)
             assert np.allclose(rows[adv - 1, n], expect, rtol=0, atol=1e-12), (n, adv)
 
 
 @pytest.mark.parametrize(
-    "h,k,T,M,N",
+    "link,k,T,M,N",
     [
-        (half(0.3), 5, 10, 5, 4),
-        (half(0.4, eg=0.1, eb=0.9), 4, 9, 4, 3),
+        (LINK, 5, 10, 5, 4),
+        ((0.3, 0.1, 0.9, 0.4), 4, 9, 4, 3),
         # T = k = M: a timer expiry can fall on a round's last slot + 1
-        (half(0.3), 3, 3, 3, 3),
+        (LINK, 3, 3, 3, 3),
+        # different halves: moves within a round that follow the reverse
+        # half's chain read z = 47 (tau) and -18 (delay) here
+        (ASYM, 5, 10, 5, 4),
     ],
-    ids=["k5-T10-M5-N4", "eps_G0.1-k4-T9-M4-N3", "k3-T3-M3-N3"],
+    ids=["k5-T10-M5-N4", "eps_G0.1-k4-T9-M4-N3", "k3-T3-M3-N3", "asym-k5-T10-M5-N4"],
 )
-def test_round_step_matches_exact_coded_means(h, k, T, M, N):
+def test_round_step_matches_exact_coded_means(link, k, T, M, N):
     # against the exact solve of the per-slot rules: an idle lane's advance
     # one slot past its round start reads |z| > 100; count rows read one
     # lead off bias the means by 0.2-0.5%, |z| 5.8-10.8 at this horizon
     # (under 4 at 20,000 frames a seed)
-    ch = build_composite(h, h)
+    ch = link_channel(link)
     p = ProtocolParams(k=k, T=T, scheme="coded", M=M, N=N)
     mass, e_tau, e_delay = exhaustive.coded(ch, p)
     assert mass == pytest.approx(1.0, abs=1e-12)
@@ -400,7 +441,7 @@ def reference_arq_rules(cfg):
     k, T, d = p.k, p.T, p.d
     att = attempt_model_for(ch, p)
     legs = np.array([1, k, T])
-    jumps = cum_rows(_powers(ch.Pc, T)[legs - 1])
+    leg_rows = cum_rows(ch.Pc, legs)
     eps_f = np.array([ch.fwd.eps_G, ch.fwd.eps_B])
     eps_r = np.array([ch.rev.eps_G, ch.rev.eps_B])
 
@@ -409,7 +450,7 @@ def reference_arq_rules(cfg):
     def step(L, u):
         u_step, u_f, u_r = u
         rv = L.leg == RECOV
-        L.state = _chain_step(jumps, 4 * L.leg + L.state, u_step)
+        L.state = gathered_row_step(leg_rows, 4 * L.leg + L.state, u_step)
         L.s += legs[L.leg]
         fwd_bad, rev_bad = L.state // 2, L.state % 2
         # own feedback at the nominal rates, a recovery slot at index ri
