@@ -8,6 +8,8 @@ addition.  Repeated elimination reduces the graph to the single
 input -> output gain, an independent construction of the protocol MGFs.
 Each branch gain states the packets it transmits and the slots it takes;
 the MGF's kind picks which of the two z counts (protocols.Accounting).
+A builder sums no gain by hand: waits are rings of one-slot nodes, and
+elimination adds the paths and closes each ring exactly.
 """
 from __future__ import annotations
 
@@ -115,21 +117,24 @@ def graph_gain(g: FlowGraph) -> DualMatrix:
 
 
 def build_uncoded_graph(ch: CompositeChannel, p: ProtocolParams, kind: str) -> FlowGraph:
-    """Selective-repeat ARQ state machine as a flow graph (nodes I,A,B,C,O).
+    """Selective-repeat ARQ state machine as a flow graph.
 
     I: start of transmission.  A: the packet's own feedback arrives.
     B: retransmission of a lost packet (delivered NACK after k slots, or
-    erased NACK after the T-slot timer).  C: the packet was delivered
-    but its ACK was erased and the timer ran out; pointless
-    retransmissions repeat every T slots until some cumulative feedback
-    gets through.  O: ACK received.
+    erased NACK after the T-slot timer).  O: ACK received.  After an
+    erased ACK the packet waits for a delivered cumulative feedback on a
+    ring of T one-slot nodes, keyed by the offset from the timer expiry:
+    C (offset 0, a pointless retransmission) and C1 .. C{T-1}.  Each has
+    a Px0 branch to O and a Px1 branch to the next offset; A enters at
+    offset -d mod T.
 
     Every branch takes (packets, slots): the first transmission and its
     wait (1, k-1), a NACK (0, k-1) or timeout (0, T-1) and the
-    retransmission (1, 1), an ACK (0, 1); recovery slots take one slot
-    each, and every timer expiry in C sends one packet.  kind "tau"
-    counts the packets, "delay" the slots; both reduce to the
-    closed-form MGFs.
+    retransmission (1, 1), an ACK (0, 1), and a branch into or out of a
+    ring node (0, 1), except that every branch into C, A's when d = 0
+    among them, carries the expiry's packet (1, 1).  kind "tau" counts
+    the packets, "delay" the slots; node elimination sums every path,
+    closes the ring, and must reduce to the closed-form MGFs.
     """
     acc = Accounting(kind)
     k, T, d = p.k, p.T, p.d
@@ -138,25 +143,14 @@ def build_uncoded_graph(ch: CompositeChannel, p: ProtocolParams, kind: str) -> F
 
     g = FlowGraph("I", "O")
     g.add_branch("I", "A", acc.term(Pk, 1, k - 1), "P^{k-1}")
-
-    nack = dual_add(acc.term(ch.P10 @ Pk, 0, k - 1), acc.term(ch.P11 @ PT, 0, T - 1))
-    g.add_branch("A", "B", nack, "P10 P^{k-1} + P11 P^{T-1}")
+    g.add_branch("A", "B", acc.term(ch.P10 @ Pk, 0, k - 1), "P10 P^{k-1}")
+    g.add_branch("A", "B", acc.term(ch.P11 @ PT, 0, T - 1), "P11 P^{T-1}")
     g.add_branch("B", "A", acc.term(np.eye(4), 1, 1), "retx")
+    g.add_branch("A", "O", acc.term(ch.P00, 0, 1), "ACK")
 
-    ack = acc.term(ch.P00, 0, 1)
-    run = np.eye(4)
-    for j in range(d):
-        ack = dual_add(ack, acc.term(ch.P01 @ run @ ch.Px0, 0, 2 + j))
-        run = run @ ch.Px1
-    g.add_branch("A", "O", ack, "ACK / early recovery")
-
-    g.add_branch("A", "C", acc.term(ch.P01 @ run, 0, 1 + d), "P01 Px1^d")
-    g.add_branch("C", "C", acc.term(np.linalg.matrix_power(ch.Px1, T), 1, T), "Px1^T")
-    run = np.eye(4)
-    escape = None
-    for j in range(T):
-        term = acc.term(run @ ch.Px0, 1, j + 1)
-        escape = term if escape is None else dual_add(escape, term)
-        run = run @ ch.Px1
-    g.add_branch("C", "O", escape, "late recovery")
+    ring = ["C"] + [f"C{o}" for o in range(1, T)]
+    g.add_branch("A", ring[-d % T], acc.term(ch.P01, int(d == 0), 1), "P01")
+    for o, node in enumerate(ring):
+        g.add_branch(node, "O", acc.term(ch.Px0, 0, 1), "Px0")
+        g.add_branch(node, ring[(o + 1) % T], acc.term(ch.Px1, int(o == T - 1), 1), "Px1")
     return g

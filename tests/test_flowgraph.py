@@ -103,14 +103,18 @@ def test_graph_equals_closed_form_on_grid(kind):
     # checks the attempt model's constant sequence independently
     der = ("tau", "delay").index(kind)  # closed form: der[0] counts packets, der[1] slots
     channels = [(0.0, 1.0, eps) for eps in (0.05, 0.2, 0.35, 0.5, 0.6)] + [(0.1, 0.9, 0.4)]
-    for eps_G, eps_B, eps in channels:
-        for T in (5, 10, 20):
-            ch = symmetric_composite(0.3, eps_G, eps_B, eps)
-            p = ProtocolParams(k=5, T=T)
-            closed = build_arq_mgf(ch, p, attempt_model_for(ch, p))
-            gg = graph_gain(build_uncoded_graph(ch, p, kind))
-            assert np.max(np.abs(closed.val - gg.val)) <= TOL
-            assert np.max(np.abs(closed.der[der] - gg.der)) <= TOL
+    cases = [(0.3, link, 5, T) for link in channels for T in (5, 10, 20)]
+    # the edges k = 1 and T = k (d = 0, entry at C; at (1, 1) the ring is C
+    # alone, looping on itself), a 40-node ring, and slow mixing
+    cases += [(r, link, k, T) for r in (0.01, 0.3) for link in (channels[2], channels[-1])
+              for k, T in ((1, 1), (1, 7), (3, 40))]
+    for r, (eps_G, eps_B, eps), k, T in cases:
+        ch = symmetric_composite(r, eps_G, eps_B, eps)
+        p = ProtocolParams(k=k, T=T)
+        closed = build_arq_mgf(ch, p, attempt_model_for(ch, p))
+        gg = graph_gain(build_uncoded_graph(ch, p, kind))
+        assert np.max(np.abs(closed.val - gg.val)) <= TOL
+        assert np.max(np.abs(closed.der[der] - gg.der)) <= TOL
 
 
 def test_graph_gain_is_proper_mgf():

@@ -131,12 +131,20 @@ def test_closed_form_matches_matrix_power(link):
     assert np.allclose(_to_good(h, js), exact, rtol=0, atol=1e-14)
 
 
+JUMP_LINKS = {
+    "mixing": (half(0.4), half(0.3, eg=0.1, eb=0.9)),  # lam 0.5 and 0.6
+    # lam -0.9 and -0.8: P^j and P^(j+1) stay far apart at j = 10, so a
+    # jump one slot off or a swapped half lands outside the band there too
+    "near-periodic": (build_half_channel(0.95, 0.0, 1.0, 0.5), build_half_channel(0.9, 0.1, 0.9, 0.5)),
+}
+
+
+@pytest.mark.parametrize("link", JUMP_LINKS.values(), ids=JUMP_LINKS)
 @pytest.mark.parametrize("j", [2, 5, 10])
-def test_jump_rows_match_repeated_steps(j):
+def test_jump_rows_match_repeated_steps(j, link):
     # the move a rule step makes from the halves' closed forms, j slots on,
     # lands where j single steps land, both at the exact Pc^j
-    h = half(0.4)
-    ch = build_composite(h, half(0.3, eg=0.1, eb=0.9))
+    ch = build_composite(*link)
     init, step = _frame_rules(SimConfig(params=ProtocolParams(k=5, T=10), ch=ch, seed=0, horizon=1000))
     lanes = 100_000
     rng = np.random.default_rng(j)
