@@ -23,13 +23,16 @@ packet being a one-packet frame):
 The analytic kernel runs on the product space (chain state, u) where
 u = received-but-unacknowledged degrees of freedom, so round outcomes,
 multi-acks and repair pipelining are carried exactly; stage n (the n-th
-acknowledgment) advances by consuming one unit of u.  Every branch gain
-states the packets it transmits and the slots it takes; the
-transmission-time MGF lets z count the packets, the delay MGF the slots
-(protocols.Accounting).
+acknowledgment) advances by consuming one unit of u.  After an erased
+feedback a stage waits out repair rounds that repeat every T slots; one
+table per stage (_period) states that period's slots, and both the walk
+and the stage's own ACK read it.  Every branch gain states the packets
+it transmits and the slots it takes; the transmission-time MGF lets z
+count the packets, the delay MGF the slots (protocols.Accounting).
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +68,8 @@ def _shift_down(size: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CodedKernel:
-    """Stage matrices of the coded scheme on the (chain, u) product space.
+    """Stage matrices of the coded scheme on the (chain, u) product space,
+    for link ch and protocol p.
 
     For stage n (1-based), cap_n = N - n + 1 receptions remain useful.
     K0/K1 steps transmit one packet (u may rise) and split by the reverse
@@ -78,6 +82,7 @@ class CodedKernel:
     """
 
     ch: CompositeChannel
+    p: ProtocolParams
     dim: int
     plain: np.ndarray
     W0: np.ndarray
@@ -115,6 +120,7 @@ def default_coded_kernel(ch: CompositeChannel, p: ProtocolParams) -> CodedKernel
     u_zero[0, 0] = 1.0
     return CodedKernel(
         ch=ch,
+        p=p,
         dim=4 * size,
         plain=kron(I_u, ch.Pc),
         W0=kron(I_u, ch.Px0),
@@ -127,73 +133,59 @@ def default_coded_kernel(ch: CompositeChannel, p: ProtocolParams) -> CodedKernel
     )
 
 
-def _in_flight(k: int, T: int, round_len: int) -> list[int]:
-    """Packets scheduled within the RTT after an acknowledgment acting at
-    offset o, indexed by (o - 1) % T: repair rounds repeat every T slots.
+def _period(kern: CodedKernel, n: int, L: int) -> list[tuple]:
+    """The T-slot period of stage n's recovery walk, in rounds of L packets.
 
-    A feedback acting at shifted offset o is received k slots after its
-    pairing slot, so repair packets with slots in (o, o+k) have already
-    been committed when the sender learns of the acknowledgment.  They
-    are charged to the transmission count; their payload is superseded.
+    Entry o - 1 is offset o = 1 .. T after a round's own feedback slot: a
+    repair round fills the last L offsets of every period (the timer runs
+    from the previous round's first slot), so offset T is again a round's
+    last packet and feedback slot.  An entry is (end, continue), each the
+    (value matrix, packets) of a one-slot branch: end takes a delivered
+    feedback the sender acts on, continue the erased one.  end is None on
+    mid-round offsets, where the sender does not act on feedback and the
+    slot only transmits.  Offsets are those of the slot a feedback reports
+    on, which reaches the sender k slots later: the repairs at offsets
+    o+1 .. o+k-1 are committed before an ACK at offset o acts, and end
+    charges them to the transmission count (their payload is superseded).
     """
-    return [
-        sum(1 for o2 in range(o + 1, o + k) if (o2 - 1) % T >= T - round_len)
-        for o in range(1, T + 1)
-    ]
-
-
-def _recovery_walk(
-    kern: CodedKernel,
-    stage: int,
-    round_len: int,
-    T: int,
-    flight: list[int],
-    acc: Accounting,
-) -> DualMatrix:
-    """Wait for a delivered feedback after stage `stage`'s DoF arrived unacked.
-
-    Repair rounds of round_len packets are inserted every T slots (the
-    timer runs from the previous round's first slot); the sender acts on
-    feedback only between rounds and at a round's final slot, so
-    mid-round offsets are forward-only steps.  Every offset takes one
-    slot, and a round's slots send one packet each.  Any acted-on
-    delivered feedback ends the walk with the acknowledgment, plus the
-    repairs already in flight (the table `flight` of _in_flight).
-    """
-    K0 = kern.K0[stage - 1]
-    K1 = kern.K1[stage - 1]
+    k, T = kern.p.k, kern.p.T
+    K0, K1 = kern.K0[n - 1], kern.K1[n - 1]
     Km = K0 + K1
+
+    def sends(o: int) -> bool:  # a round fills the last L offsets of each period
+        return -o % T < L
+
+    period = []
+    for o in range(1, T + 1):
+        if sends(o) and o < T:
+            period.append((None, (Km, 1)))
+        else:
+            x0, x1, sent = (K0, K1, 1) if o == T else (kern.W0, kern.W1, 0)
+            flight = sum(map(sends, range(o + 1, o + k)))
+            period.append(((x0, sent + flight), (x1, sent)))
+    return period
+
+
+def _recovery_walk(kern: CodedKernel, period: list[tuple], acc: Accounting) -> DualMatrix:
+    """Wait for an acted-on delivered feedback after a stage's DoF arrived
+    unacked: cycle over the period's offsets, one slot each, summing the
+    walk's end branches until they hold its whole mass."""
 
     def steps():
         prefix = dual_identity(kern.dim)
-        o = 1
-        while True:
-            r = (o - 1) % T
-            pos = r - (T - round_len)
-            if 0 <= pos < round_len - 1:
-                # mid-round packet slot: transmit, feedback not acted on
-                prefix = dual_mul(prefix, acc.term(Km, 1, 1))
-            else:
-                sent = int(pos == round_len - 1)  # a round's last packet, or a wait
-                x0, x1 = (K0, K1) if sent else (kern.W0, kern.W1)
-                yield dual_mul(prefix, acc.term(x0, sent + flight[r], 1))
-                prefix = dual_mul(prefix, acc.term(x1, sent, 1))
-            o += 1
+        for end, (x1, sent) in itertools.cycle(period):
+            if end is not None:
+                yield dual_mul(prefix, acc.term(*end, 1))
+            prefix = dual_mul(prefix, acc.term(x1, sent, 1))
 
     return dual_sum_truncated(steps())
 
 
-def build_coded_mgf(
-    ch: CompositeChannel,
-    p: ProtocolParams,
-    kernel: CodedKernel | None = None,
-    kind: str = "tau",
-    z: float = 1.0,
-) -> DualMatrix:
-    """Matrix MGF of the coded frame (kind 'tau': packets, 'delay': slots)."""
+def build_coded_mgf(kern: CodedKernel, kind: str = "tau", z: float = 1.0) -> DualMatrix:
+    """Matrix MGF of the coded frame on the link and frame shape kern was
+    built for (kind 'tau': packets, 'delay': slots)."""
     acc = Accounting(kind, z)
-    kern = default_coded_kernel(ch, p) if kernel is None else kernel
-    k, T, M, N = p.k, p.T, p.M, p.N
+    k, T, M, N = kern.p.k, kern.p.T, kern.p.M, kern.p.N
 
     Pk1 = np.linalg.matrix_power(kern.plain, k - 1)
 
@@ -207,14 +199,12 @@ def build_coded_mgf(
             acc.term(obs[(1, 0)] @ Pk1 @ KL1, L, k + L - 1),
             acc.term(obs[(1, 1)] @ np.linalg.matrix_power(kern.plain, T - L) @ KL1, L, T),
         )
-        # the round's own feedback acts at offset 0, entry T - 1 of the table
-        flight = _in_flight(k, T, L)
+        # the round's own feedback is the period's offset T
+        period = _period(kern, n, L)
+        (_, own), (_, sent) = period[-1]
         exits = dual_add(
-            acc.term(obs[(0, 0)], 1 + flight[-1], 1),
-            dual_mul(
-                acc.term(obs[(0, 1)], 1, 1),
-                _recovery_walk(kern, n, L, T, flight, acc),
-            ),
+            acc.term(obs[(0, 0)], own, 1),
+            dual_mul(acc.term(obs[(0, 1)], sent, 1), _recovery_walk(kern, period, acc)),
         )
         send = dual_mul(acc.term(Pk1, 0, k - 1), acc.term(KL1, L - 1, L - 1))
         return dual_mul(send, dual_mul(dual_geo(loop), exits))
@@ -236,7 +226,7 @@ def coded_metrics(ch: CompositeChannel, p: ProtocolParams) -> Metrics:
     if p.scheme != "coded":
         raise ParameterError("params do not select the coded scheme")
     kern = default_coded_kernel(ch, p)
-    tau = build_coded_mgf(ch, p, kern, "tau")
-    delay = build_coded_mgf(ch, p, kern, "delay")
+    tau = build_coded_mgf(kern, "tau")
+    delay = build_coded_mgf(kern, "delay")
     return _metrics_from_mgfs(ch, p.M, tau, delay, pi_I=kern.start_vector())
 

@@ -141,14 +141,17 @@ def scalarize(pi_I: np.ndarray, Phi: DualMatrix, *, check: bool = True) -> tuple
     phi(z) = pi_I Phi(z) 1 / (pi_I 1); the derivative is the mean when
     z = 1.  With check=True (evaluation at z = 1), a deviation of phi(1)
     from 1 beyond _MASS_TOL raises ImproperMGFError: the protocol model
-    or a series truncation lost probability mass.
+    or a series truncation lost probability mass.  A NaN fails every
+    guard: in pi_I as a ValueError, in phi(1) as an ImproperMGFError.
     """
-    if np.min(pi_I) < 0:
+    if not np.all(pi_I >= 0):
         raise ValueError("pi_I must be non-negative")
     norm = float(np.sum(pi_I))
+    if not norm > 0:
+        raise ValueError("pi_I must have positive mass")
     ones = np.ones(Phi.n)
     value = float(pi_I @ Phi.val @ ones) / norm
     mean = float(pi_I @ Phi.der @ ones) / norm
-    if check and abs(value - 1.0) > _MASS_TOL:
+    if check and not abs(value - 1.0) <= _MASS_TOL:
         raise ImproperMGFError(f"phi(1) = {value!r} deviates from 1 beyond {_MASS_TOL}")
     return value, mean

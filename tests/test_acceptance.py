@@ -141,7 +141,7 @@ def test_criterion_5_derivative_oracle():
 
                     def phi(z, kind):
                         return scalarize(
-                            pi, build_coded_mgf(ch, p, kern, kind, z), check=False
+                            pi, build_coded_mgf(kern, kind, z), check=False
                         )
                 else:
                     gor = 10 * eps if scheme == "harq" else 0.0

@@ -9,27 +9,40 @@ from gearq.protocols import ProtocolParams, uncoded_metrics
 import exhaustive
 
 
+PLAIN = (0.3, 0.0, 1.0)  # the channel's (r, eps_G, eps_B)
+
+
 def channel(eps):
-    return symmetric_composite(0.3, 0.0, 1.0, eps)
+    return symmetric_composite(*PLAIN, eps)
 
 
 def test_error_free_frame():
+    # when T < k + M - 1 the frame timer expires before the feedback returns,
+    # and the ACK then finds k + M - 1 - T packets of the next round in flight
     ch = channel(0.0)
-    for M, N in ((5, 4), (5, 5), (3, 2)):
-        m = coded_metrics(ch, ProtocolParams(k=5, T=10, scheme="coded", M=M, N=N))
-        assert m.frame_tau_mean == pytest.approx(M, abs=1e-9)
-        assert m.throughput == pytest.approx(1.0, abs=1e-9)
-        assert m.delay_mean == pytest.approx(5 + M - 1, abs=1e-9)
+    shapes = [
+        (k, T, M, N)
+        for k in (1, 3, 5) for M in range(1, k + 1) for N in range(1, M + 1)
+        for T in sorted({*range(k, k + M + 1), 10})
+    ]
+    for k, T, M, N in shapes:
+        m = coded_metrics(ch, ProtocolParams(k=k, T=T, scheme="coded", M=M, N=N))
+        sent = M + max(0, k + M - 1 - T)
+        assert m.frame_tau_mean == pytest.approx(sent, abs=1e-9), (k, T, M, N)
+        assert m.throughput == pytest.approx(M / sent, abs=1e-9), (k, T, M, N)
+        assert m.delay_mean == pytest.approx(k + M - 1, abs=1e-9), (k, T, M, N)
 
 
-def test_single_packet_frame_equals_uncoded():
+@pytest.mark.parametrize("link", [PLAIN, (0.3, 0.1, 0.9)], ids=["plain", "eps_G0.1"])
+def test_single_packet_frame_equals_uncoded(link):
+    # k = 5 beside the k = 1 and T = k edges and a long timer
     for eps in (0.1, 0.3, 0.5):
-        for T in (5, 10):
-            ch = channel(eps)
-            mu = uncoded_metrics(ch, ProtocolParams(k=5, T=T))
-            mc = coded_metrics(ch, ProtocolParams(k=5, T=T, scheme="coded", M=1, N=1))
-            assert mc.tau_mean == pytest.approx(mu.tau_mean, abs=1e-11)
-            assert mc.delay_mean == pytest.approx(mu.delay_mean, abs=1e-11)
+        ch = symmetric_composite(*link, eps)
+        for k, T in ((5, 5), (5, 10), (1, 1), (1, 7), (3, 40)):
+            mu = uncoded_metrics(ch, ProtocolParams(k=k, T=T))
+            mc = coded_metrics(ch, ProtocolParams(k=k, T=T, scheme="coded", M=1, N=1))
+            assert mc.tau_mean == pytest.approx(mu.tau_mean, abs=1e-11), (eps, k, T)
+            assert mc.delay_mean == pytest.approx(mu.delay_mean, abs=1e-11), (eps, k, T)
 
 
 def test_single_packet_kernel_reduces_to_composite():
@@ -111,9 +124,6 @@ def test_normalization_and_frame_bounds_on_grid():
             assert m.mgf_err_tau <= 1e-9 and m.mgf_err_delay <= 1e-9
             assert m.frame_tau_mean >= 5.0
             assert m.delay_mean >= 5.0
-
-
-PLAIN = (0.3, 0.0, 1.0)  # the channel's (r, eps_G, eps_B)
 
 
 @pytest.mark.parametrize(

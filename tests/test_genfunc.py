@@ -233,3 +233,27 @@ def test_scalarize_improper_flag():
         scalarize(np.array([0.5, 0.5]), phi)
     value, _ = scalarize(np.array([0.5, 0.5]), phi, check=False)
     assert value == pytest.approx(0.9)
+
+
+@pytest.mark.parametrize(
+    "pi_I,match",
+    [
+        (np.array([np.nan, 1.0, 1.0, 1.0]), "non-negative"),
+        (np.array([1.0, -1.0, 1.0, 1.0]), "non-negative"),
+        (np.zeros(4), "positive mass"),
+    ],
+    ids=["nan", "negative", "all-zero"],
+)
+def test_scalarize_rejects_a_start_vector_without_mass(pi_I, match):
+    phi = DualMatrix(np.eye(4), 5 * np.eye(4))
+    for check in (True, False):
+        with pytest.raises(ValueError, match=match):
+            scalarize(pi_I, phi, check=check)
+
+
+def test_scalarize_flags_a_nan_mgf():
+    val = np.eye(4)
+    val[0, 0] = np.nan
+    phi = DualMatrix(val, 5 * np.eye(4))
+    with pytest.raises(ImproperMGFError):
+        scalarize(np.full(4, 0.25), phi)

@@ -249,7 +249,7 @@ def test_derivative_matches_finite_difference(scheme, kind):
             pi = kern.start_vector()
 
             def build(z):
-                return scalarize(pi, build_coded_mgf(ch, p, kern, kind, z), check=False)
+                return scalarize(pi, build_coded_mgf(kern, kind, z), check=False)
         else:
             gor = 10 * eps if scheme == "harq" else 0.0
             p = ProtocolParams(k=5, T=10, scheme=scheme, gamma_over_rho=gor)
@@ -600,7 +600,8 @@ def test_every_builder_rejects_an_unknown_kind(build):
     ch, p = channel(0.3), ProtocolParams(k=5, T=10)
     with pytest.raises(ValueError, match="kind must be 'tau' or 'delay'"):
         if build == "coded":
-            build_coded_mgf(ch, ProtocolParams(k=5, T=10, scheme="coded"), kind="slots")
+            kern = default_coded_kernel(ch, ProtocolParams(k=5, T=10, scheme="coded"))
+            build_coded_mgf(kern, kind="slots")
         else:
             build_uncoded_graph(ch, p, "slots")
 

@@ -357,6 +357,18 @@ def test_coded_sim_error_free():
     assert st.delay_mean_hat == 9.0
     # model slots, whatever the number of engine steps
     assert st.slots_elapsed == 9 * 5_000
+    # frame shapes with k in {1, 3, 5} and timers T = k .. k + M, as analysed
+    # in tests/test_coded.py::test_error_free_frame
+    ch = build_composite(half(0.0), half(0.0))
+    shapes = [
+        (k, T, M, N)
+        for k in (1, 3, 5) for M in range(1, k + 1) for N in range(1, M + 1) for T in range(k, k + M + 1)
+    ]
+    for k, T, M, N in shapes:
+        p = ProtocolParams(k=k, T=T, scheme="coded", M=M, N=N)
+        st = simulate(SimConfig(params=p, ch=ch, seed=0, horizon=1_000))
+        assert st.tau_mean_hat == M + max(0, k + M - 1 - T), (k, T, M, N)
+        assert st.delay_mean_hat == k + M - 1, (k, T, M, N)
 
 
 @pytest.mark.parametrize("scheme", ["uncoded", "coded"])
