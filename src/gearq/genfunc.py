@@ -135,23 +135,22 @@ def dual_sum_truncated(
     return DualMatrix(val, der)
 
 
-def scalarize(pi_I: np.ndarray, Phi: DualMatrix, *, check: bool = True) -> tuple[float, float]:
+def scalarize(pi_I: np.ndarray, Phi: DualMatrix, *, check: bool = True) -> tuple[float, float | list]:
     """Reduce a matrix MGF to (phi(z), phi'(z)) for a start vector pi_I.
 
-    phi(z) = pi_I Phi(z) 1 / (pi_I 1); the derivative is the mean when
-    z = 1.  With check=True (evaluation at z = 1), a deviation of phi(1)
-    from 1 beyond _MASS_TOL raises ImproperMGFError: the protocol model
-    or a series truncation lost probability mass.  A NaN fails every
+    phi(z) = pi_I Phi(z) 1 / (pi_I 1); the derivative, one per z in a list
+    if Phi.der has a direction axis, is the mean at z = 1.  With check=True
+    (at z = 1), |phi(1) - 1| beyond _MASS_TOL raises ImproperMGFError: the
+    model or a series truncation lost probability mass.  A NaN fails every
     guard: in pi_I as a ValueError, in phi(1) as an ImproperMGFError.
     """
-    if not np.all(pi_I >= 0):
+    if not (pi_I >= 0).all():
         raise ValueError("pi_I must be non-negative")
-    norm = float(np.sum(pi_I))
+    norm = float(pi_I.sum())
     if not norm > 0:
         raise ValueError("pi_I must have positive mass")
-    ones = np.ones(Phi.n)
-    value = float(pi_I @ Phi.val @ ones) / norm
-    mean = float(pi_I @ Phi.der @ ones) / norm
+    value = float(pi_I.dot(Phi.val).sum()) / norm
+    mean = ((pi_I @ Phi.der).sum(-1) / norm).tolist()
     if check and not abs(value - 1.0) <= _MASS_TOL:
         raise ImproperMGFError(f"phi(1) = {value!r} deviates from 1 beyond {_MASS_TOL}")
     return value, mean

@@ -20,9 +20,9 @@ arrives in slot t+k, so an error-free first exchange has delay k.  The
 recovery is one per-slot walk: each slot takes one slot, and each timer
 expiry sends one packet (the pointless retransmission), so a path's
 weight is a closed-form monomial in its slot.  The walk multiplies plain
-4x4 values, weights them afterwards, and a closure over its last T-slot
-period ends it with a certified bound on the error of both means
-(_recovery_walk).
+4x4 values and weights them afterwards; a constant recovery is one
+closure, and a closure at the next slot's rates ends each block of the
+walk with a certified bound on the error of both means (_recovery_walk).
 """
 from __future__ import annotations
 
@@ -35,14 +35,13 @@ from .channel import CompositeChannel, ParameterError
 from .genfunc import (
     DualMatrix,
     NonConvergenceError,
-    dual_add,
     dual_geo,
-    dual_mul,
     dual_term,
     scalarize,
 )
 
 SCHEMES = ("uncoded", "harq", "coded")
+_EYE = np.eye(4)
 _BLOCK = 32  # slots in a block of the recovery walk, rounded up to whole periods
 _CERTIFIED = 1e-15  # the recovery walk stops once its certified mean error is this small
 
@@ -136,27 +135,29 @@ class AttemptModel:
     m = inf (its limit), or a number, which is the constant sequence.
     State G's rate at m is min(eps_G, eps_B(m)): combining never makes
     state G worse than its nominal rate, nor worse than state B.
-    Observations are linear in the rates (self._K: the composite's Pc
-    restricted to the columns of reverse state G, and of B).
+    Observations are linear in the rates (self._split: the composite's Pc
+    restricted to the columns of reverse state G, and of B, in each half).
     """
 
     def __init__(self, ch: CompositeChannel, eps_B):
         self.ch = ch
         self.eps_B = eps_B if callable(eps_B) else (lambda m: eps_B)
-        self._K = [ch.Pc * mask for mask in ([1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0])]
+        self._split = (_MASKS[:, None] * np.concatenate((ch.Pc, ch.Pc), axis=1)).reshape(4, 32)
 
     def rates(self, m):
         """(eps_G, eps_B) of the reverse link at index m, each shaped like m."""
         eb = self.eps_B(m) + np.zeros(np.shape(m))
         return np.minimum(self.ch.rev.eps_G, eb), eb
 
-    def observation(self, m) -> tuple[np.ndarray, np.ndarray]:
-        """(Px0, Px1) at index m: the composite chain step split by the
-        reverse bit (delivered, erased), summing to the chain matrix; for
-        an array of n indices, two (n, 4, 4) stacks."""
-        KG, KB = self._K
-        eg, eb = (x[..., None, None] for x in self.rates(m))
-        return (1.0 - eg) * KG + (1.0 - eb) * KB, eg * KG + eb * KB
+    def steps(self, m) -> np.ndarray:
+        """[Px0 | Px1] at index m, shaped like m plus (4, 8): the chain step split
+        by the reverse bit (delivered, erased), summing to the chain matrix."""
+        eg, eb = self.rates(m)
+        return (np.array((1.0 - eg, 1.0 - eb, eg, eb)).T @ self._split).reshape(np.shape(m) + (4, 8))
+
+
+# [Px0 | Px1] = (1 - eps_G, 1 - eps_B, eps_G, eps_B) . [Pc | Pc] masked by each row
+_MASKS = np.kron(np.eye(2), [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
 
 
 def _weights(packets, slots, z):
@@ -164,79 +165,93 @@ def _weights(packets, slots, z):
     its derivative in each; numbers, or arrays of per-path counts."""
     zp, zs = z
     value = zp**packets * zs**slots
-    return value, packets * zp ** (packets - 1) * zs**slots, slots * zp**packets * zs ** (slots - 1)
+    return value, value * packets / zp, value * slots / zs
 
 
-def _term(coeff: np.ndarray, packets: int, slots: int, z) -> DualMatrix:
-    """Branch gain coeff * z_packets**packets * z_slots**slots as a dual in both counts."""
-    c, dp, ds = _weights(packets, slots, z)
-    return DualMatrix(c * coeff, np.multiply.outer((dp, ds), coeff))
+def _stack(coeff: np.ndarray, packets: int, slots: int, z) -> np.ndarray:
+    """Branch gain coeff * z_packets**packets * z_slots**slots, and its derivative in each count."""
+    return np.array(_weights(packets, slots, z))[:, None, None] * coeff
 
 
-def _periods(att: AttemptModel, p: ProtocolParams, j: int, n: int):
-    """The n T-slot periods of the walk from slot j, stepped side by side, each
-    from the identity, as plain value products: a (T, n, 4, 4) stack of each
-    period's ends X1 ... X1 X0 at each of its slots, and an (n, 4, 4) stack
-    of its waits X1 ... X1 over all T."""
-    i = np.arange(max(j - 1, 1), j + n * p.T)  # and the last block's last slot: a rise between blocks shows
-    X0, X1 = att.observation(i)
-    rises = (X1[1:] > X1[:-1]).any(axis=(-2, -1))
-    if rises.any():
-        raise ParameterError(f"recovery rates rise along the combining index at {i[1:][rises][0]}")
-    steps = np.concatenate((X0, X1), axis=-1)[-n * p.T :].reshape(n, p.T, 4, 8).swapaxes(0, 1)
-    out, wait = np.empty((p.T, n, 4, 8)), np.eye(4)
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of two stacks along the signal path: (ab)' = a'b + ab'."""
+    out = a.dot(b[0])
+    out[1:] += a[0] @ b[1:]
+    return out
+
+
+def _geo(a: np.ndarray) -> np.ndarray:
+    g = dual_geo(DualMatrix(a[0], a[1:]))  # the one guarded closure
+    return np.concatenate((g.val[None], g.der))
+
+
+def _weighted(w: np.ndarray, paths: np.ndarray) -> np.ndarray:
+    """The sum of a stack of 4x4 paths, each weighted by its _weights w[:, ...], as a stack."""
+    return w.reshape(3, -1).dot(paths.reshape(-1, 16)).reshape(3, 4, 4)
+
+
+def _periods(steps):
+    """Periods side by side from the identity, from their T steps, (T, ..., 4, 8) or a list:
+    each one's ends X1 ... X1 X0 at each slot, and its wait X1 ... X1 over all T."""
+    out, wait = np.empty((len(steps),) + steps[0].shape), _EYE
+    mul = np.dot if out.ndim == 3 else np.matmul  # one period: np.dot, the same product for less
     for t, step in enumerate(steps):
-        wait = np.matmul(wait, step, out=out[t])[..., 4:]
+        wait = mul(wait, step, out=out[t])[..., 4:]
     return out[..., :4], wait
 
 
-def _weighted(w: np.ndarray, paths: np.ndarray) -> DualMatrix:
-    """The sum of a stack of 4x4 paths, each weighted by its _weights w[:, ...], as a dual."""
-    s = (w.reshape(3, -1) @ paths.reshape(-1, 16)).reshape(3, 4, 4)
-    return DualMatrix(s[0], s[1:])
+def _close(ends: np.ndarray, wait: np.ndarray, w: np.ndarray, z) -> np.ndarray:
+    """A period repeated for good, its slots weighted by w: dual_geo(period) . ends."""
+    return _mul(_geo(_stack(wait, 1, len(ends), z)), _weighted(w, ends))
 
 
 def _recovery_walk(att: AttemptModel, p: ProtocolParams, z):
     """Wait for a delivered cumulative feedback after the ACK was erased:
-    the walk in both counts at z, and a bound on the error of its means.
+    the walk in both counts at z (a stack), and a bound on its means' error.
 
     Slot j >= 1 (the combining index) ends the walk with X0(j) and
     continues it with X1(j).  The timer expires at slot d + 1 <= T and
-    every T slots on, so every T-slot period from slot 1 sends one packet,
-    and a path that ends at slot j has the closed-form weight
-    z_packets**e * z_slots**j, e the expiries it passed.  Blocks of whole
-    periods are stepped as plain values (_periods), weighted by _weights
-    afterwards, and joined to the walk as duals; dual_geo over a block's
-    last period closes the rest.  Rates never rise, so that closure keeps
-    the surviving mass and over-counts its future: its future mean on the
-    surviving mass, in either count, bounds the error of that mean from
-    every start state (at z = (1, 1)); the bound is the larger of the two.
-    The walk stops once the bound is at most _CERTIFIED, or at once
-    (bound 0) at the limit rates eps_B(inf).
+    every T slots on, so a path that ends at slot j has the closed-form
+    weight z_packets**e * z_slots**j, e the expiries it passed.  Rates
+    never rise, so holding them at one slot's for good keeps the surviving
+    mass and over-counts its future: that constant recovery is one closure
+    (_close), and at the limit rates eps_B(inf) the whole walk (bound 0).
+    Otherwise blocks of whole periods, stepped side by side as plain values
+    with one that repeats the next slot (_periods), are weighted afterwards
+    and joined to the walk, and the closure at the next slot's rates ends
+    it: its future mean on the surviving mass, in either count, bounds the
+    error of that mean from every start state (at z = (1, 1)).  The walk
+    stops once the larger is at most _CERTIFIED or the closure is exact.
     """
-    j, per_block, limit = 1, -(-_BLOCK // p.T), att.eps_B(np.inf)
+    T, limit, j = p.T, att.eps_B(np.inf), 1
+    n = 0 if att.eps_B(1) == limit else -(-_BLOCK // T)
+    # a path ending at slot s of a block has passed (s + k - 1) // T expiries
+    s = np.arange(1.0, max(n, 1) * T + 1)
+    w = np.array(_weights((s + (p.k - 1)) // T, s, z))
+    if n == 0:
+        return _close(*_periods([att.steps(1)] * T), w, z), 0.0
     while j <= 10**6:
-        exact = att.eps_B(j) == limit  # and so is every later rate
-        n = 1 if exact else per_block
-        ends, last = _periods(att, p, j, n)
+        step = att.steps(np.minimum(np.arange(j, j + (n + 1) * T), j + n * T))
+        rises = (step[1:] > step[:-1])[:, :, 4:]
+        if rises.any():
+            at = j + 1 + rises.nonzero()[0][0]
+            raise ParameterError(f"recovery rates rise along the combining index at {at}")
+        ends, waits = _periods(step.reshape(n + 1, T, 4, 8).swapaxes(0, 1))
+        close = _close(ends[:, n], waits[n], w[:, :T], z)
         starts = np.empty((n + 1, 4, 4))
-        starts[0] = np.eye(4)
+        starts[0] = _EYE
         for q in range(n):
-            np.matmul(starts[q], last[q], out=starts[q + 1])
-        # the path that ends at slot t (from 0) of period q has taken q T + t + 1
-        # slots, and q expiries, one more from t = d on (slot d + 1 of its period)
-        t, q = np.arange(p.T)[:, None], np.arange(n, dtype=float)
-        w = np.array(_weights(q + (t >= p.d), q * p.T + t + 1, z))
-        block, after = _weighted(w, starts[:n] @ ends), _term(starts[n], n, n * p.T, z)
+            np.dot(starts[q], waits[q], out=starts[q + 1])
+        block = _weighted(w, starts[:n, None] @ ends[:, :n].swapaxes(0, 1))
+        after = _stack(starts[n], n, n * T, z)
         if j == 1:
             total, wait = block, after
         else:  # join the block to the walk so far
-            total, wait = dual_add(total, dual_mul(wait, block)), dual_mul(wait, after)
-        tail = dual_mul(dual_geo(_term(last[-1], 1, p.T, z)), _weighted(w[:, :, 0], ends[:, -1]))
-        bound = 0.0 if exact else float((wait.val @ tail.der.sum(-1).T).max())
-        if bound <= _CERTIFIED:
-            return dual_add(total, dual_mul(wait, tail)), bound
-        j += n * p.T
+            total, wait = total + _mul(wait, block), _mul(wait, after)
+        j += n * T
+        bound = float((wait[0] @ close[1:].sum(-1).T).max())
+        if bound <= _CERTIFIED or att.eps_B(j) == limit:
+            return total + _mul(wait, close), bound if bound <= _CERTIFIED else 0.0
     raise NonConvergenceError("recovery walk not certified in 1000000 slots")
 
 
@@ -253,14 +268,15 @@ def build_arq_mgf(
     """
     Pk = np.linalg.matrix_power(ch.Pc, p.k - 1)
     PT = np.linalg.matrix_power(ch.Pc, p.T - 1)
-    # the first transmission, then k - 1 slots to its feedback
-    prefix = _term(Pk, 1, p.k - 1, z)
     # the lost-packet loop: a delivered NACK re-sends after k slots, an
     # erased one waits for the timer (T slots); either way one packet
-    loop = dual_geo(dual_add(_term(ch.P10 @ Pk, 1, p.k, z), _term(ch.P11 @ PT, 1, p.T, z)))
-    # the feedback (its slot, no packet): the ACK (P00), or an erased one (P01) and the walk
-    recovery = dual_mul(_term(ch.P01, 0, 1, z), _recovery_walk(att, p, z)[0])
-    return dual_mul(prefix, dual_mul(loop, dual_add(_term(ch.P00, 0, 1, z), recovery)))
+    loop = _geo(_stack(ch.P10.dot(Pk), 1, p.k, z) + _stack(ch.P11.dot(PT), 1, p.T, z))
+    # the feedback: the ACK (P00), or an erased one (P01) and the walk
+    feedback = ch.P01 @ _recovery_walk(att, p, z)[0]
+    feedback[0] += ch.P00
+    # the first transmission, k - 1 slots to its feedback and the feedback's slot
+    phi = _mul(_stack(Pk, 1, p.k, z), _mul(loop, feedback))
+    return DualMatrix(phi[0], phi[1:])
 
 
 def _metrics_from_mgfs(
@@ -297,8 +313,8 @@ def attempt_model_for(ch: CompositeChannel, p: ProtocolParams) -> AttemptModel:
 def _arq_metrics(ch: CompositeChannel, p: ProtocolParams, scheme: str) -> Metrics:
     if p.scheme != scheme:
         raise ParameterError(f"params do not select the {scheme} scheme")
-    phi = build_arq_mgf(ch, p, attempt_model_for(ch, p))
-    return _metrics_from_mgfs(ch, 1, *(DualMatrix(phi.val, der) for der in phi.der))
+    v, (tau, delay) = scalarize(ch.pi_I, build_arq_mgf(ch, p, attempt_model_for(ch, p)))
+    return Metrics(tau, 1.0 / tau, delay, delay, tau, abs(v - 1.0), abs(v - 1.0))
 
 
 def uncoded_metrics(ch: CompositeChannel, p: ProtocolParams) -> Metrics:

@@ -225,6 +225,10 @@ def test_scalarize_deterministic_time():
     value, mean = scalarize(np.full(4, 0.25), phi)
     assert value == pytest.approx(1.0, abs=1e-12)
     assert mean == pytest.approx(k, abs=1e-12)
+    # a derivative in each of two z's: one built-in float mean per z
+    two = DualMatrix(np.eye(4), np.multiply.outer([1.0, k], np.eye(4)))
+    value, means = scalarize(np.full(4, 0.25), two)
+    assert value == 1.0 and means == [1.0, k] and all(type(m) is float for m in means)
 
 
 def test_scalarize_improper_flag():

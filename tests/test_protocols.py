@@ -1,4 +1,8 @@
 """Protocol MGFs: exact limits, derivative oracle, scheme relations."""
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -66,6 +70,12 @@ def constant_harq(ch, T):
     return tuple(scalarize(ch.pi_I, DualMatrix(phi.val, der))[1] for der in phi.der)
 
 
+def observation(att, m):
+    """(Px0, Px1) at index m: the delivered and erased halves of att.steps(m)."""
+    step = att.steps(m)
+    return step[..., :4], step[..., 4:]
+
+
 def combined_eps_B(ch, gamma_over_rho, m):
     """State B's rate at combining index m: never above the nominal eps_B."""
     return min(ch.rev.eps_B, 1.0 - np.exp(-gamma_over_rho / m))
@@ -118,7 +128,7 @@ def test_attempt_matrices_partition_and_monotone():
         att = attempt_model_for(ch, harq_params(10, 3.0))
         prev = None
         for m in range(1, 8):
-            X0, X1 = att.observation(m)
+            X0, X1 = observation(att, m)
             assert np.allclose(X0 + X1, ch.Pc, atol=1e-12)
             if prev is not None:
                 assert np.all(X1 <= prev + 1e-12)
@@ -138,14 +148,14 @@ def test_observation_matches_kronecker_formula(ch):
         (AttemptModel(ch, 0.0), lambda m: 0.0),
     ]
     for att, eps_B in models:
-        X0s, X1s = att.observation(ms)
+        X0s, X1s = observation(att, ms)
         assert X0s.shape == X1s.shape == (ms.size, 4, 4)
         for m, X0, X1 in zip(ms, X0s, X1s):
             eb = eps_B(int(m))
             eg = min(eps_G, eb)
             ref0 = np.kron(fwd, rev @ np.diag([1.0 - eg, 1.0 - eb]))
             ref1 = np.kron(fwd, rev @ np.diag([eg, eb]))
-            one0, one1 = att.observation(int(m))
+            one0, one1 = observation(att, int(m))
             for got, ref in ((X0, ref0), (X1, ref1), (one0, ref0), (one1, ref1)):
                 assert got.shape == (4, 4)
                 assert np.max(np.abs(got - ref)) <= 1e-15
@@ -166,10 +176,13 @@ def test_observation_matches_kronecker_formula(ch):
 )
 def test_attempt_kernels_are_the_composite_columns(ch):
     # the kernels as they were built: the forward chain times the reverse
-    # chain masked to its destination state, one Kronecker product each
-    ref = [kron(ch.fwd.P, ch.rev.P * mask) for mask in ([1.0, 0.0], [0.0, 1.0])]
+    # chain masked to its destination state, one Kronecker product each, in
+    # the delivered and in the erased half of a step [Px0 | Px1]
+    KG, KB = (kron(ch.fwd.P, ch.rev.P * mask) for mask in ([1.0, 0.0], [0.0, 1.0]))
+    zero = np.zeros((4, 4))
+    ref = [np.hstack(halves) for halves in ((KG, zero), (KB, zero), (zero, KG), (zero, KB))]
     for eps_B in (ch.rev.eps_B, lambda m: np.minimum(ch.rev.eps_B, 1.0 - np.exp(-3.0 / m))):
-        for got, want in zip(AttemptModel(ch, eps_B)._K, ref):
+        for got, want in zip(AttemptModel(ch, eps_B)._split.reshape(4, 4, 8), ref):
             assert np.array_equal(got, want)
 
 
@@ -412,7 +425,7 @@ def reference_arq_mgf(ch, p, att, kind, z):
     def presum(budget, base):
         total, prefix = dual_term(np.zeros((4, 4)), 0, z), dual_identity(4)
         for j in range(budget):
-            X0, X1 = att.observation(base + j + 1)
+            X0, X1 = observation(att, base + j + 1)
             total = dual_add(total, dual_mul(prefix, dual_term(X0, 0, z)))
             prefix = dual_mul(prefix, dual_term(X1, 0, z))
         return total, prefix
@@ -443,14 +456,14 @@ def reference_arq_mgf(ch, p, att, kind, z):
         head = dual_term(np.linalg.matrix_power(ch.Pc, p.k - 1), 1, z)
     else:
         if constant:
-            X0, X1 = att.observation(1)
+            X0, X1 = observation(att, 1)
             wait = dual_mul(dual_geo(dual_term(X1, 1, z)), dual_term(X0, 0, z))
         else:
 
             def series():
                 prefix, j = dual_identity(4), 1
                 while True:
-                    X0, X1 = att.observation(j)
+                    X0, X1 = observation(att, j)
                     yield dual_mul(prefix, dual_term(X0, 0, z))
                     prefix = dual_mul(prefix, dual_term(X1, 1, z))
                     j += 1
@@ -505,7 +518,7 @@ def walk_far(att, p, slots=4000):
     packets, means[1] slots."""
     mass, means, wait = np.zeros(4), np.zeros((2, 4)), np.eye(4)
     timer, expiries = p.d + 1, 0  # the timer runs out at slot d + 1, then every T slots
-    for j, (X0, X1) in enumerate(zip(*att.observation(np.arange(1, slots + 1))), start=1):
+    for j, (X0, X1) in enumerate(zip(*observation(att, np.arange(1, slots + 1))), start=1):
         timer -= 1
         if timer == 0:
             timer, expiries = p.T, expiries + 1
@@ -536,9 +549,9 @@ def test_recovery_walk_is_certified():
         walk, bound = _recovery_walk(att, p, ONE)
         mass, means = walk_far(att, p)
         assert bound <= 1e-15
-        err = np.abs(walk.der.sum(axis=-1) - means)
+        err = np.abs(walk[1:].sum(axis=-1) - means)
         assert np.all(err <= bound + 1e-14 * means.max(axis=1, keepdims=True)), (err.max(), bound)
-        assert np.max(np.abs(walk.val.sum(axis=1) - mass)) <= 1e-14
+        assert np.max(np.abs(walk[0].sum(axis=1) - mass)) <= 1e-14
 
 
 @pytest.mark.parametrize("certified", [1e-1, 1e-3, 1e-5, 1e-7, 1e-9])
@@ -559,7 +572,7 @@ def test_recovery_walk_bound_holds_where_it_stops(monkeypatch, certified):
         att = attempt_model_for(ch, p) if eps_B is None else AttemptModel(ch, eps_B)
         walk, bound = _recovery_walk(att, p, ONE)
         _, means = walk_far(att, p)
-        over = walk.der.sum(axis=-1) - means
+        over = walk[1:].sum(axis=-1) - means
         slack = 1e-13 * means.max(axis=1, keepdims=True)
         assert bound <= certified
         assert np.all(over >= -slack) and np.all(over <= bound + slack), (p.T, over, bound)
@@ -593,6 +606,84 @@ def test_recovery_rates_that_rise_are_named():
     step = AttemptModel(slow, lambda m: np.where(m <= first_block, 0.98, 0.99))
     with pytest.raises(ParameterError, match=f"rates rise along the combining index at {first_block + 1}"):
         build_arq_mgf(slow, p, step)
+
+
+def test_a_rise_in_a_state_no_step_enters_is_no_rise():
+    # the rise check reads the erased steps X1, not the rates: a reverse half
+    # with q = 0, r = 1 never enters state B, so its kernel column is zero
+    # and eps_B may rise there without changing any step
+    ch = build_composite(build_half_channel(0.3, 0.0, 1.0, 0.3), build_half_channel(1.0, 0.0, 1.0, 0.0))
+    p, rising = harq_params(10, 3.0), lambda m: np.minimum(0.9, 0.1 + m / 100.0)
+    assert not AttemptModel(ch, rising)._split[3].any()  # the erased step's state-B kernel
+    phi = build_arq_mgf(ch, p, AttemptModel(ch, rising))
+    assert np.array_equal(phi.val, build_arq_mgf(ch, p, AttemptModel(ch, 0.1)).val)
+
+
+def recording_steps(att):
+    """att with its steps() recording the last slot each call evaluates, and
+    how many indices it takes."""
+    seen, steps = [], att.steps
+    att.steps = lambda m: seen.append((int(np.max(m)), np.size(m))) or steps(m)
+    return att, seen
+
+
+def relative_gap(walk, att, p):
+    """The walk's largest distance from walk_far, relative to the mass and to
+    the largest mean (slots: at least 1)."""
+    mass, means = walk_far(att, p)
+    return max(
+        np.max(np.abs(walk[0].sum(axis=1) - mass) / mass),
+        np.max(np.abs(walk[1:].sum(axis=-1) - means)) / means.max(),
+    )
+
+
+@pytest.mark.parametrize("scheme", ["uncoded", "harq"])
+@pytest.mark.parametrize("T", [5, 10])
+def test_a_constant_recovery_is_one_closure(scheme, T):
+    # rates at their limit from the first slot (uncoded, and harq at
+    # gamma/rho = 0): one slot's observation, one closure, bound 0
+    for ch in (channel(0.3), LOSSY_G, symmetric_composite(0.01, 0.0, 1.0, 0.3)):
+        p = ProtocolParams(k=5, T=T, scheme=scheme)
+        att, seen = recording_steps(attempt_model_for(ch, p))
+        walk, bound = _recovery_walk(att, p, ONE)
+        assert seen == [(1, 1)] and bound == 0.0
+        assert relative_gap(walk, att, p) <= 1e-13
+
+
+def test_a_recovery_at_its_limit_after_one_block_closes_there():
+    # the rates reach their limit at the first slot after the walk's first
+    # block: the closure there is exact (bound 0), on a slowly mixing channel
+    # whose bound would not certify that early
+    ch, p = symmetric_composite(0.01, 0.0, 1.0, 0.3), harq_params(10, 3.0)
+    first_block = -(-protocols._BLOCK // p.T) * p.T
+    att, seen = recording_steps(AttemptModel(ch, lambda m: np.where(m <= first_block, 0.9, 0.5)))
+    walk, bound = _recovery_walk(att, p, ONE)
+    assert [last for last, _ in seen] == [first_block + 1] and bound == 0.0
+    assert relative_gap(walk, att, p) <= 1e-13
+
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference_seed0.json"
+REF_FIELDS = ("tau_mean", "throughput", "delay_mean", "delay_mean_per_packet", "frame_tau_mean")
+
+
+@pytest.mark.parametrize("grid,points", [("analytic-grid", 48), ("slow-mixing", 24)])
+def test_arq_points_match_the_benchmark_reference(grid, points):
+    # every uncoded and harq point of the benchmark's seed-0 reference (read
+    # only) at its --compare gate, 1e-12 relative; links and the harq gain
+    # 10 eps as the sweep builds them
+    reference = json.loads(REFERENCE.read_text())[grid]
+    keys = [key for key in reference if not key.startswith("coded/")]
+    assert len(keys) == points
+    worst = 0.0
+    for key in keys:
+        scheme, eps, r, T = re.fullmatch(r"(\w+)/eps=(.+)/r=(.+)/T=(\d+)", key).groups()
+        eps, half = float(eps), build_half_channel(float(r), 0.0, 1.0, float(eps))
+        gain = 10.0 * eps if scheme == "harq" else 0.0
+        metrics = (harq_metrics if scheme == "harq" else uncoded_metrics)(
+            build_composite(half, half), ProtocolParams(k=5, T=int(T), scheme=scheme, gamma_over_rho=gain))
+        for f in REF_FIELDS:
+            worst = max(worst, abs(getattr(metrics, f) - reference[key][f]) / abs(reference[key][f]))
+    assert worst <= 1e-12, worst
 
 
 @pytest.mark.parametrize("build", ["coded", "graph"])
