@@ -26,7 +26,10 @@ distribution the analysis assigns to the slot a fresh packet enters
 service).  A chain state is the code 2 f + r of the halves' bits, each
 moved by its closed-form j-step law (_to_good).  The lane count is fixed
 (_LANES), and lanes share the episode budget, so a seed and a horizon
-determine every estimate.
+determine every estimate.  Once every episode has started, the engine
+steps only a leading slice of the lane arrays that holds the live lanes,
+halved in place as they finish; each lane keeps its own uniforms, so the
+width changes no estimate.
 """
 from __future__ import annotations
 
@@ -40,9 +43,10 @@ from .channel import CompositeChannel, HalfChannel
 from .protocols import ProtocolParams, attempt_model_for
 
 _LANES = 4096  # lanes run side by side; part of what a seed reproduces
+_MIN_WIDTH = 64  # narrowest drain width: below it a step costs its numpy calls, not its lanes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimConfig:
     """One reproducible run: protocol, composite channel, seed, horizon.
 
@@ -83,10 +87,13 @@ class SimConfig:
             raise ValueError(f"horizon must be >= 1000 for usable statistics, not {horizon}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimStats:
     """Sample means with standard errors from per-packet samples; engine
-    iterations, retired lanes' lane-steps, the longest episode's slots."""
+    iterations, the longest episode's slots, and retired_lane_steps: the
+    lane-steps a full-width engine would spend on lanes whose last episode
+    has ended (lanes minus live lanes, summed over iterations), most of
+    which the drain now skips."""
 
     tau_mean_hat: float
     tau_stderr: float
@@ -181,12 +188,17 @@ def _run_lanes(cfg: SimConfig, init: dict, step) -> SimStats:
     the slot count s and packet count tau among them, to its value at an
     episode's start, and the engine writes it into every lane it starts;
     step(L, u) advances every lane by one decision, given three uniforms
-    per lane, and returns where an episode ended.  Retired lanes keep
-    stepping unobserved, so the rules need no mask of active lanes.
+    per lane, and returns where an episode ended.  step must be lane-wise,
+    so the rules need no mask of active lanes: once every episode has
+    started, whenever the live lanes fit in half the width the engine moves
+    them in order to the front of the lane arrays and steps that half only
+    (down to _MIN_WIDTH), the padding past them stepping unobserved.  Each
+    lane reads its own column of the iteration's (3, B) uniforms, so the
+    width changes no estimate.
     """
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     start_row = np.cumsum(cfg.ch.pi_I / cfg.ch.pi_I.sum())[None]  # one cumulative row
-    B = min(_LANES, cfg.horizon)
+    B = width = min(_LANES, cfg.horizon)
     L = SimpleNamespace(**{f: np.zeros(B, dtype=np.int64) for f in ("state", *init)})
 
     def begin(idx):
@@ -196,13 +208,15 @@ def _run_lanes(cfg: SimConfig, init: dict, step) -> SimStats:
 
     begin(np.arange(B))
     active = np.ones(B, dtype=bool)
+    lane = np.arange(B)  # the lane whose uniforms each position reads
     started = n_active = B
     iterations = retired = 0
     acc = _Moments()
     while n_active:
         iterations += 1
         retired += B - n_active
-        ends = np.flatnonzero(step(L, rng.random((3, B))) & active)
+        u = rng.random((3, B))
+        ends = np.flatnonzero(step(L, u if width == B else u[:, lane]) & active)
         if ends.size:
             acc.add(L.tau[ends], L.s[ends])
             n_new = min(ends.size, cfg.horizon - started)
@@ -211,6 +225,15 @@ def _run_lanes(cfg: SimConfig, init: dict, step) -> SimStats:
             if n_new:
                 begin(ends[:n_new])
                 started += n_new
+        if started == cfg.horizon and n_active <= width // 2 >= _MIN_WIDTH:
+            live = np.flatnonzero(active)
+            while n_active <= width // 2 >= _MIN_WIDTH:
+                width //= 2
+            for arr in (*vars(L).values(), lane, active):
+                arr[:n_active] = arr[live]
+            L = SimpleNamespace(**{f: arr[:width] for f, arr in vars(L).items()})
+            lane, active = lane[:width], active[:width]
+            active[n_active:] = False
     return acc.stats(iterations, retired)
 
 

@@ -1,4 +1,5 @@
 """Sweep front-end: config parsing, CSV contract, reproducibility."""
+import hashlib
 import math
 import os
 import subprocess
@@ -115,6 +116,23 @@ def test_reproducible_byte_identical():
     t1, _ = run_sweep(cfg)
     t2, _ = run_sweep(cfg)
     assert t1 == t2
+
+
+SWEEP_CFG_SHA256 = {  # sweep.cfg's grid, seed 0, horizon 2,000, as the full-width engine wrote it
+    "sim": "acd51c35df3bc001eeb11bbb5ca9fdc7fc8f3f995b20ccd670ad01e088d706c1",
+    "both": "dabe3ce45bb7e4e4b802adbc6bc6d43469354594285193331f36d272589afc18",
+}
+
+
+@pytest.mark.parametrize("mode", SWEEP_CFG_SHA256)
+def test_short_sweep_writes_pinned_bytes(mode):
+    # across versions, not only within one tree: an engine or rule change
+    # that claims to keep every estimate must keep these files
+    text = (Path(__file__).resolve().parent.parent / "sweep.cfg").read_text()
+    cfg = parse_sweep_config(text, {"mode": mode, "seeds": "0", "horizon": "2000"})
+    csv_text, n_err = run_sweep(cfg)
+    assert n_err == 0
+    assert hashlib.sha256(csv_text.encode()).hexdigest() == SWEEP_CFG_SHA256[mode]
 
 
 def test_point_failure_recorded_not_fatal(monkeypatch):

@@ -9,6 +9,8 @@ from gearq.channel import build_composite, build_half_channel, symmetric_composi
 from gearq.coded import coded_metrics
 from gearq.protocols import ProtocolParams, attempt_model_for, harq_metrics, uncoded_metrics
 from gearq.sim import (
+    _LANES,
+    _MIN_WIDTH,
     SimConfig,
     SimStats,
     _chain_step,
@@ -131,11 +133,12 @@ def test_closed_form_matches_matrix_power(link):
     assert np.allclose(_to_good(h, js), exact, rtol=0, atol=1e-14)
 
 
+NEAR_PERIODIC = ((0.95, 0.0, 1.0, 0.5), (0.9, 0.1, 0.9, 0.5))  # forward, reverse halves
 JUMP_LINKS = {
     "mixing": (half(0.4), half(0.3, eg=0.1, eb=0.9)),  # lam 0.5 and 0.6
     # lam -0.9 and -0.8: P^j and P^(j+1) stay far apart at j = 10, so a
     # jump one slot off or a swapped half lands outside the band there too
-    "near-periodic": (build_half_channel(0.95, 0.0, 1.0, 0.5), build_half_channel(0.9, 0.1, 0.9, 0.5)),
+    "near-periodic": tuple(build_half_channel(*h) for h in NEAR_PERIODIC),
 }
 
 
@@ -239,6 +242,90 @@ def test_random_stream_is_pinned(scheme, link, horizon, expect):
     p = ProtocolParams(k=5, T=10, scheme=scheme, **SCHEME_KW[scheme])
     ch = link_channel(link)
     assert simulate(SimConfig(params=p, ch=ch, seed=0, horizon=horizon)) == expect
+
+
+def full_width_run_lanes(cfg, init, step):
+    """The reference engine: every lane steps at the full width until the
+    last episode ends, retired lanes unobserved (the engine before the
+    drain was compacted)."""
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    start_row = np.cumsum(cfg.ch.pi_I / cfg.ch.pi_I.sum())[None]
+    B = min(_LANES, cfg.horizon)
+    L = SimpleNamespace(**{f: np.zeros(B, dtype=np.int64) for f in ("state", *init)})
+
+    def begin(idx):
+        L.state[idx] = _chain_step(start_row, np.zeros_like(idx), rng.random(idx.size))
+        for f, value in init.items():
+            getattr(L, f)[idx] = value
+
+    begin(np.arange(B))
+    active = np.ones(B, dtype=bool)
+    started = n_active = B
+    iterations = retired = 0
+    acc = _Moments()
+    while n_active:
+        iterations += 1
+        retired += B - n_active
+        ends = np.flatnonzero(step(L, rng.random((3, B))) & active)
+        if ends.size:
+            acc.add(L.tau[ends], L.s[ends])
+            n_new = min(ends.size, cfg.horizon - started)
+            active[ends[n_new:]] = False
+            n_active -= ends.size - n_new
+            if n_new:
+                begin(ends[:n_new])
+                started += n_new
+    return acc.stats(iterations, retired)
+
+
+ENGINE_LINKS = {
+    "eps_G0": LINK, "eps_G0.1": (0.3, 0.1, 0.9, 0.4), "asym": ASYM, "near-periodic": NEAR_PERIODIC,
+    "r0.01": (0.01, 0.0, 1.0, 0.3),  # slow mixing: the drain runs long on a few lanes
+}
+ENGINE_CASES = [  # (scheme, link, horizon, ProtocolParams fields besides the scheme's)
+    # 1,000 lanes is not a power of two; 4,097 leaves one episode for the drain
+    *[(s, "eps_G0", h, {}) for s in SCHEME_KW for h in (1_000, 4_096, 4_097, 20_000)],
+    *[(s, link, 4_097, {}) for s in SCHEME_KW for link in ("eps_G0.1", "asym", "near-periodic", "r0.01")],
+    *[(s, "eps_G0", 4_097, dict(k=1, T=3)) for s in SCHEME_KW],
+    *[(s, "eps_G0", 4_097, dict(T=5)) for s in SCHEME_KW],  # T = k
+    ("harq", "eps_G0", 4_097, dict(gamma_over_rho=0.0)),
+]
+
+
+@pytest.mark.parametrize(
+    "scheme,link,horizon,kw", ENGINE_CASES,
+    ids=["-".join([s, link, str(h), *(f"{f}{v}" for f, v in kw.items())]) for s, link, h, kw in ENGINE_CASES],
+)
+def test_compacted_drain_matches_full_width_engine(scheme, link, horizon, kw):
+    # each live lane reads its own uniforms whatever the width, so every
+    # SimStats field equals the full-width engine's
+    fields = dict(dict(k=5, T=10, scheme=scheme, **SCHEME_KW[scheme]), **kw)
+    if scheme == "coded" and fields["k"] == 1:
+        fields.update(M=1, N=1)
+    ch = link_channel(ENGINE_LINKS[link])
+    c = SimConfig(params=ProtocolParams(**fields), ch=ch, seed=0, horizon=horizon)
+    assert simulate(c) == full_width_run_lanes(c, *_frame_rules(c))
+
+
+@pytest.mark.parametrize("horizon", [1_000, 20_000])
+def test_drain_steps_halving_widths(horizon):
+    # the widths go B, B/2, B/4, ...; these runs' drains last long enough to
+    # reach the narrowest, the last above _MIN_WIDTH / 2
+    c = cfg("uncoded", horizon=horizon)
+    init, step = _frame_rules(c)
+    widths = []
+
+    def spy(L, u):
+        widths.append(u.shape[1])
+        assert all(v.shape == (u.shape[1],) for v in vars(L).values())
+        return step(L, u)
+
+    st = _run_lanes(c, init, spy)
+    B = min(_LANES, horizon)
+    assert len(widths) == st.iterations
+    assert widths == sorted(widths, reverse=True)
+    assert widths[-1] < B and widths[-1] // 2 < _MIN_WIDTH <= widths[-1]
+    assert set(widths) <= {B >> i for i in range(13)}
 
 
 @pytest.mark.parametrize("scheme", SCHEME_KW)
