@@ -169,14 +169,25 @@ def _period(kern: CodedKernel, n: int, L: int) -> list[tuple]:
 def _recovery_walk(kern: CodedKernel, period: list[tuple], acc: Accounting) -> DualMatrix:
     """Wait for an acted-on delivered feedback after a stage's DoF arrived
     unacked: cycle over the period's offsets, one slot each, summing the
-    walk's end branches until they hold its whole mass."""
+    walk's end branches.
+
+    The period's branch gains are built once per walk, and every cycle
+    reads them.  The sum is a series, truncated after the first term whose
+    value and derivative entries all fall below 1e-12 (dual_sum_truncated),
+    not a closure: on slowly mixing links it is off by a few parts in 1e11
+    (the frame tau mean, 2.6e-11 relative at r = 0.01, eps = 0.5,
+    (k, T, M, N) = (5, 20, 1, 1)).
+    """
+    gains = [
+        (None if end is None else acc.term(*end, 1), acc.term(*cont, 1)) for end, cont in period
+    ]
 
     def steps():
         prefix = dual_identity(kern.dim)
-        for end, (x1, sent) in itertools.cycle(period):
+        for end, cont in itertools.cycle(gains):
             if end is not None:
-                yield dual_mul(prefix, acc.term(*end, 1))
-            prefix = dual_mul(prefix, acc.term(x1, sent, 1))
+                yield dual_mul(prefix, end)
+            prefix = dual_mul(prefix, cont)
 
     return dual_sum_truncated(steps())
 
@@ -228,5 +239,5 @@ def coded_metrics(ch: CompositeChannel, p: ProtocolParams) -> Metrics:
     kern = default_coded_kernel(ch, p)
     tau = build_coded_mgf(kern, "tau")
     delay = build_coded_mgf(kern, "delay")
-    return _metrics_from_mgfs(ch, p.M, tau, delay, pi_I=kern.start_vector())
+    return _metrics_from_mgfs(kern.start_vector(), p.M, tau, delay)
 

@@ -46,7 +46,7 @@ _BLOCK = 32  # slots in a block of the recovery walk, rounded up to whole period
 _CERTIFIED = 1e-15  # the recovery walk stops once its certified mean error is this small
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProtocolParams:
     """Protocol configuration: RTT k, timeout T, scheme, coded frame shape.
 
@@ -88,23 +88,34 @@ class ProtocolParams:
         return self.T - self.k
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Metrics:
-    """Per-packet throughput figures plus frame-level delay.
+    """Frame-level means of one scheme, and the per-packet figures they give.
 
-    tau_mean and throughput are per packet for every scheme (a coded
-    frame's transmission count is divided by M).  delay_mean is the
-    full-frame delay; delay_mean_per_packet divides by M for comparison
-    across schemes and equals delay_mean when M = 1.
+    frame_tau_mean counts the packets a frame transmits and delay_mean the
+    slots until it is acknowledged, M the packets it carries (1 for uncoded
+    and harq).  tau_mean and throughput are per packet for every scheme;
+    delay_mean_per_packet divides the frame's delay by M for comparison
+    across schemes, and equals delay_mean when M = 1.
     """
 
-    tau_mean: float
-    throughput: float
-    delay_mean: float
-    delay_mean_per_packet: float
     frame_tau_mean: float
+    delay_mean: float
+    M: int
     mgf_err_tau: float
     mgf_err_delay: float
+
+    @property
+    def tau_mean(self) -> float:
+        return self.frame_tau_mean / self.M
+
+    @property
+    def throughput(self) -> float:
+        return 1.0 / self.tau_mean
+
+    @property
+    def delay_mean_per_packet(self) -> float:
+        return self.delay_mean / self.M
 
 
 @dataclass(frozen=True)
@@ -280,21 +291,12 @@ def build_arq_mgf(
 
 
 def _metrics_from_mgfs(
-    ch: CompositeChannel, M: int, tau_mgf: DualMatrix, delay_mgf: DualMatrix, pi_I=None
+    pi_I: np.ndarray, M: int, tau_mgf: DualMatrix, delay_mgf: DualMatrix
 ) -> Metrics:
-    pi = ch.pi_I if pi_I is None else pi_I
-    v_tau, frame_tau = scalarize(pi, tau_mgf)
-    v_d, frame_delay = scalarize(pi, delay_mgf)
-    tau_pp = frame_tau / M
-    return Metrics(
-        tau_mean=tau_pp,
-        throughput=1.0 / tau_pp,
-        delay_mean=frame_delay,
-        delay_mean_per_packet=frame_delay / M,
-        frame_tau_mean=frame_tau,
-        mgf_err_tau=abs(v_tau - 1.0),
-        mgf_err_delay=abs(v_d - 1.0),
-    )
+    """Metrics of a frame of M packets from start vector pi_I and its two MGFs."""
+    v_tau, frame_tau = scalarize(pi_I, tau_mgf)
+    v_d, frame_delay = scalarize(pi_I, delay_mgf)
+    return Metrics(frame_tau, frame_delay, M, abs(v_tau - 1.0), abs(v_d - 1.0))
 
 
 def attempt_model_for(ch: CompositeChannel, p: ProtocolParams) -> AttemptModel:
@@ -314,7 +316,8 @@ def _arq_metrics(ch: CompositeChannel, p: ProtocolParams, scheme: str) -> Metric
     if p.scheme != scheme:
         raise ParameterError(f"params do not select the {scheme} scheme")
     v, (tau, delay) = scalarize(ch.pi_I, build_arq_mgf(ch, p, attempt_model_for(ch, p)))
-    return Metrics(tau, 1.0 / tau, delay, delay, tau, abs(v - 1.0), abs(v - 1.0))
+    err = abs(v - 1.0)  # one MGF value serves both counts
+    return Metrics(tau, delay, 1, err, err)
 
 
 def uncoded_metrics(ch: CompositeChannel, p: ProtocolParams) -> Metrics:

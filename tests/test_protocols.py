@@ -1,5 +1,7 @@
 """Protocol MGFs: exact limits, derivative oracle, scheme relations."""
+import dataclasses
 import json
+import pickle
 import re
 from pathlib import Path
 
@@ -335,6 +337,43 @@ def test_metrics_invariants():
         assert mc.throughput * mc.tau_mean == pytest.approx(1.0, abs=1e-12)
         assert mc.delay_mean >= 5.0 - 1e-9          # frame-level delay
         assert mc.frame_tau_mean >= 5.0             # at least M transmissions
+
+
+def test_metrics_stores_frame_means_and_derives_the_rest():
+    ch = channel(0.3)
+    points = {
+        "uncoded": uncoded_metrics(ch, ProtocolParams(k=5, T=10)),
+        "harq": harq_metrics(ch, harq_params(10, 3.0)),
+        "coded": coded_metrics(ch, ProtocolParams(k=5, T=10, scheme="coded", M=5, N=4)),
+    }
+    for scheme, m in points.items():
+        assert [f.name for f in dataclasses.fields(m)] == [
+            "frame_tau_mean", "delay_mean", "M", "mgf_err_tau", "mgf_err_delay"]
+        assert not hasattr(m, "__dict__")
+        # the derived figures are the quotients the metrics were built from, bit for bit
+        assert m.tau_mean == m.frame_tau_mean / m.M
+        assert m.throughput == 1.0 / (m.frame_tau_mean / m.M)
+        assert m.delay_mean_per_packet == m.delay_mean / m.M
+        for name in ("tau_mean", "throughput", "delay_mean_per_packet"):
+            assert type(getattr(m, name)) is float, (scheme, name)
+        twin = dataclasses.replace(m)
+        assert twin == m and hash(twin) == hash(m) and twin is not m
+        assert pickle.loads(pickle.dumps(m)) == m
+        assert dataclasses.replace(m, M=2 * m.M).tau_mean == m.tau_mean / 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.delay_mean = 0.0
+    assert points["uncoded"].M == points["harq"].M == 1 and points["coded"].M == 5
+    assert points["uncoded"] != points["harq"]
+
+
+def test_protocol_params_are_slotted_values():
+    p = ProtocolParams(k=5, T=10, scheme="coded", M=5, N=4)
+    assert not hasattr(p, "__dict__")
+    assert pickle.loads(pickle.dumps(p)) == p and hash(dataclasses.replace(p)) == hash(p)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.T = 20
+    with pytest.raises(ParameterError):
+        dataclasses.replace(p, M=6)
 
 
 def test_harq_improves_delay_with_combining():
