@@ -2,9 +2,11 @@
 
 A matrix MGF Phi(z) built from branch gains of the form ``A * z**n`` is
 evaluated as a :class:`DualMatrix` carrying (Phi(z), dPhi/dz(z)) through
-products, geometric closures and truncated series.  Evaluating at z = 1
-yields the total-probability check and the mean; evaluating at z != 1
-supports finite-difference cross-checks of the dual derivative.
+products, geometric closures and truncated series; for several z's, one
+derivative per z (the uncoded/harq MGF in z_packets and z_slots).
+Evaluating at z = 1 yields the total-probability check and the mean;
+evaluating at z != 1 supports finite-difference cross-checks of the dual
+derivative.
 """
 from __future__ import annotations
 
@@ -37,7 +39,8 @@ class DualMatrix:
 
     For a function of several z's, der carries a leading direction axis:
     der[i] is the derivative in the i-th z.  dual_add, dual_mul and
-    dual_geo broadcast over it.
+    dual_geo broadcast over it, each direction bit for bit as its own
+    one-direction computation.
     """
 
     val: np.ndarray

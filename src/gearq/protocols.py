@@ -13,16 +13,17 @@ packets it transmits and how many slots it takes, and is marked
 z_packets**packets * z_slots**slots; at z = (1, 1) the transmission-time
 MGF (its mean counts packets) and the delay MGF (slots) share every
 value matrix, so one traversal that carries the derivative in each z
-gives both means (build_arq_mgf: der[0] counts packets, der[1] slots).
-Coded frames and the flow graph still build one kind per call, through
-Accounting.  Feedback for the packet sent in slot t
-arrives in slot t+k, so an error-free first exchange has delay k.  The
-recovery is one per-slot walk: each slot takes one slot, and each timer
-expiry sends one packet (the pointless retransmission), so a path's
-weight is a closed-form monomial in its slot.  The walk multiplies plain
-4x4 values and weights them afterwards; a constant recovery is one
-closure, and a closure at the next slot's rates ends each block of the
-walk with a certified bound on the error of both means (_recovery_walk).
+gives both means: a DualMatrix whose der has genfunc's direction axis
+(build_arq_mgf: der[0] counts packets, der[1] slots).  Coded frames and
+the flow graph still build one kind per call, through Accounting.
+Feedback for the packet sent in slot t arrives in slot t+k, so an
+error-free first exchange has delay k.  The recovery is one per-slot
+walk: each slot takes one slot, and each timer expiry sends one packet
+(the pointless retransmission), so a path's weight is a closed-form
+monomial in its slot.  The walk multiplies plain 4x4 values and weights
+them afterwards; a constant recovery is one closure, and a closure at
+the next slot's rates ends each block of the walk with a certified bound
+on the error of both means (_recovery_walk).
 """
 from __future__ import annotations
 
@@ -35,7 +36,9 @@ from .channel import CompositeChannel, ParameterError
 from .genfunc import (
     DualMatrix,
     NonConvergenceError,
+    dual_add,
     dual_geo,
+    dual_mul,
     dual_term,
     scalarize,
 )
@@ -173,32 +176,24 @@ _MASKS = np.kron(np.eye(2), [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
 
 def _weights(packets, slots, z):
     """z_packets**packets * z_slots**slots at z = (z_packets, z_slots), then
-    its derivative in each; numbers, or arrays of per-path counts."""
+    its derivative in each; numbers, or arrays of per-path counts.  Each
+    derivative lowers its own power (by 0 on a zero count), so z = 0 works."""
     zp, zs = z
-    value = zp**packets * zs**slots
-    return value, value * packets / zp, value * slots / zs
+    zpp, zss = zp**packets, zs**slots
+    dp, ds = packets * zp ** (packets - (packets > 0)), slots * zs ** (slots - (slots > 0))
+    return zpp * zss, dp * zss, ds * zpp
 
 
-def _stack(coeff: np.ndarray, packets: int, slots: int, z) -> np.ndarray:
+def _term(coeff: np.ndarray, packets: int, slots: int, z) -> DualMatrix:
     """Branch gain coeff * z_packets**packets * z_slots**slots, and its derivative in each count."""
-    return np.array(_weights(packets, slots, z))[:, None, None] * coeff
+    out = np.array(_weights(packets, slots, z))[:, None, None] * coeff
+    return DualMatrix(out[0], out[1:])
 
 
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of two stacks along the signal path: (ab)' = a'b + ab'."""
-    out = a.dot(b[0])
-    out[1:] += a[0] @ b[1:]
-    return out
-
-
-def _geo(a: np.ndarray) -> np.ndarray:
-    g = dual_geo(DualMatrix(a[0], a[1:]))  # the one guarded closure
-    return np.concatenate((g.val[None], g.der))
-
-
-def _weighted(w: np.ndarray, paths: np.ndarray) -> np.ndarray:
-    """The sum of a stack of 4x4 paths, each weighted by its _weights w[:, ...], as a stack."""
-    return w.reshape(3, -1).dot(paths.reshape(-1, 16)).reshape(3, 4, 4)
+def _weighted(w: np.ndarray, paths: np.ndarray) -> DualMatrix:
+    """The sum of a stack of 4x4 paths, each weighted by its _weights w[:, ...], as a dual."""
+    out = w.reshape(3, -1).dot(paths.reshape(-1, 16)).reshape(3, 4, 4)
+    return DualMatrix(out[0], out[1:])
 
 
 def _periods(steps):
@@ -211,14 +206,14 @@ def _periods(steps):
     return out[..., :4], wait
 
 
-def _close(ends: np.ndarray, wait: np.ndarray, w: np.ndarray, z) -> np.ndarray:
+def _close(ends: np.ndarray, wait: np.ndarray, w: np.ndarray, z) -> DualMatrix:
     """A period repeated for good, its slots weighted by w: dual_geo(period) . ends."""
-    return _mul(_geo(_stack(wait, 1, len(ends), z)), _weighted(w, ends))
+    return dual_mul(dual_geo(_term(wait, 1, len(ends), z)), _weighted(w, ends))
 
 
 def _recovery_walk(att: AttemptModel, p: ProtocolParams, z):
     """Wait for a delivered cumulative feedback after the ACK was erased:
-    the walk in both counts at z (a stack), and a bound on its means' error.
+    the walk in both counts at z (a DualMatrix), and a bound on its means' error.
 
     Slot j >= 1 (the combining index) ends the walk with X0(j) and
     continues it with X1(j).  The timer expires at slot d + 1 <= T and
@@ -254,15 +249,15 @@ def _recovery_walk(att: AttemptModel, p: ProtocolParams, z):
         for q in range(n):
             np.dot(starts[q], waits[q], out=starts[q + 1])
         block = _weighted(w, starts[:n, None] @ ends[:, :n].swapaxes(0, 1))
-        after = _stack(starts[n], n, n * T, z)
+        after = _term(starts[n], n, n * T, z)
         if j == 1:
             total, wait = block, after
         else:  # join the block to the walk so far
-            total, wait = total + _mul(wait, block), _mul(wait, after)
+            total, wait = dual_add(total, dual_mul(wait, block)), dual_mul(wait, after)
         j += n * T
-        bound = float((wait[0] @ close[1:].sum(-1).T).max())
+        bound = float((wait.val @ close.der.sum(-1).T).max())
         if bound <= _CERTIFIED or att.eps_B(j) == limit:
-            return total + _mul(wait, close), bound if bound <= _CERTIFIED else 0.0
+            return dual_add(total, dual_mul(wait, close)), bound if bound <= _CERTIFIED else 0.0
     raise NonConvergenceError("recovery walk not certified in 1000000 slots")
 
 
@@ -281,13 +276,12 @@ def build_arq_mgf(
     PT = np.linalg.matrix_power(ch.Pc, p.T - 1)
     # the lost-packet loop: a delivered NACK re-sends after k slots, an
     # erased one waits for the timer (T slots); either way one packet
-    loop = _geo(_stack(ch.P10.dot(Pk), 1, p.k, z) + _stack(ch.P11.dot(PT), 1, p.T, z))
+    loop = dual_geo(dual_add(_term(ch.P10.dot(Pk), 1, p.k, z), _term(ch.P11.dot(PT), 1, p.T, z)))
     # the feedback: the ACK (P00), or an erased one (P01) and the walk
-    feedback = ch.P01 @ _recovery_walk(att, p, z)[0]
-    feedback[0] += ch.P00
+    walk = _recovery_walk(att, p, z)[0]
+    feedback = DualMatrix(ch.P00 + ch.P01 @ walk.val, ch.P01 @ walk.der)
     # the first transmission, k - 1 slots to its feedback and the feedback's slot
-    phi = _mul(_stack(Pk, 1, p.k, z), _mul(loop, feedback))
-    return DualMatrix(phi[0], phi[1:])
+    return dual_mul(_term(Pk, 1, p.k, z), dual_mul(loop, feedback))
 
 
 def _metrics_from_mgfs(

@@ -7,7 +7,9 @@ reachable state by breadth-first search, builds the substochastic one-slot
 matrix Q, the absorption vector and the packets sent per slot, and solves
 (I - Q) x = r once (the fundamental matrix; Kemeny & Snell, Finite Markov
 Chains, ch. III).  The absorbed mass, E[tau] and E[slots] it returns are
-exact up to rounding: no time loop, no truncation.
+exact up to rounding: no time loop, no truncation.  On a link stated in
+fractions.Fraction (exact_link) the solve is exact arithmetic, with no
+rounding at all: a referee that measures the error of the floats.
 
 HARQ's combining index is unbounded, so its state keeps the index only up
 to J.  harq() solves twice, with the rates past J frozen at 0 and at the
@@ -20,6 +22,9 @@ for both.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+from types import SimpleNamespace
+
 import numpy as np
 
 FAR = 10**9
@@ -27,7 +32,8 @@ J = 40  # the combining index HARQ's state keeps; past it the rates are frozen
 
 
 def solve(starts, moves):
-    """(absorbed mass, E[tau], E[slots]) of the chain from `starts`, [(prob, state)]."""
+    """(absorbed mass, E[tau], E[slots]) of the chain from `starts`, [(prob, state)]:
+    in floats, or exactly where the start probabilities are Fractions."""
     index, rows = {}, []
     for _, s in starts:
         index.setdefault(s, len(index))
@@ -39,9 +45,10 @@ def solve(starts, moves):
             if s2 is not None and s2 not in index:
                 index[s2] = len(order)
                 order.append(s2)
-    n = len(order)
-    Q, r = np.zeros((n, n)), np.zeros((n, 3))  # r: absorbed, packets, slots per slot
-    r[:, 2] = 1.0
+    n, exact = len(order), isinstance(starts[0][0], Fraction)
+    zero = Fraction(0) if exact else 0.0
+    Q, r = np.full((n, n), zero), np.full((n, 3), zero)  # r: absorbed, packets, slots per slot
+    r[:, 2] = 1
     for i, row in enumerate(rows):
         for prob, s2, packets in row:
             r[i, 1] += prob * packets
@@ -49,10 +56,35 @@ def solve(starts, moves):
                 r[i, 0] += prob
             else:
                 Q[i, index[s2]] += prob
-    start = np.zeros(n)
+    start = np.full(n, zero)
     for prob, s in starts:
         start[index[s]] += prob
-    return tuple(start @ np.linalg.solve(np.eye(n) - Q, r))
+    return tuple(start @ (_eliminate if exact else np.linalg.solve)(np.eye(n, dtype=Q.dtype) - Q, r))
+
+
+def _eliminate(a, b):
+    """x with a x = b, by Gauss-Jordan elimination in the entries' own
+    arithmetic.  a = I - Q is a nonsingular M-matrix, so every pivot on
+    its diagonal is positive: no row exchanges."""
+    m = np.concatenate((a, b), axis=1)
+    for i in range(len(a)):
+        m[i] /= m[i, i]
+        for j in np.flatnonzero(m[:, i]):
+            if j != i:
+                m[j] -= m[j, i] * m[i]
+    return m[:, len(a):]
+
+
+def exact_link(r, eps):
+    """Both halves of a link with eps_G = 0 and eps_B = 1, in Fractions from
+    rational r and eps (q = r eps / (1 - eps)): the fields _channel reads."""
+    q = r * eps / (1 - eps)
+    P = np.array([[1 - q, q], [r, 1 - r]], dtype=object)
+    pi = np.array([r, q], dtype=object) / (q + r)
+    half = SimpleNamespace(eps_G=Fraction(0), eps_B=Fraction(1))
+    # pi_I: the stationary chain, then a step with the forward bit delivered
+    pi_I = np.kron(pi, pi) @ np.kron(P * [1, 0], P)
+    return SimpleNamespace(Pc=np.kron(P, P), fwd=half, rev=half, pi_I=pi_I)
 
 
 def _channel(ch):

@@ -6,6 +6,7 @@ from gearq.genfunc import (
     DualMatrix,
     ImproperMGFError,
     NonConvergenceError,
+    dual_add,
     dual_geo,
     dual_identity,
     dual_mul,
@@ -71,6 +72,21 @@ def test_mul_associative():
 def test_mul_dimension_mismatch():
     with pytest.raises(ValueError):
         dual_mul(dual_identity(2), dual_identity(3))
+
+
+@pytest.mark.parametrize("n", [4, 8, 20])
+def test_ops_broadcast_over_the_direction_axis(n):
+    # der with a leading direction axis, (2, n, n), as the two-count ARQ MGF
+    # carries it: each direction bit for bit as its one-direction computation
+    rng = np.random.default_rng(n)
+    for _ in range(50):
+        a, b = (DualMatrix(rng.random((n, n)) / n, rng.random((2, n, n))) for _ in range(2))
+        for op, args in ((dual_add, (a, b)), (dual_mul, (a, b)), (dual_geo, (a,))):
+            both = op(*args)
+            for i in range(2):
+                each = op(*(DualMatrix(x.val, x.der[i]) for x in args))
+                assert np.array_equal(both.val, each.val), op.__name__
+                assert np.array_equal(both.der[i], each.der), op.__name__
 
 
 def test_geo_empty_loop():
