@@ -45,25 +45,9 @@ from .genfunc import (
     dual_identity,
     dual_mul,
     dual_sum_truncated,
+    scalarize,
 )
-from .protocols import Accounting, Metrics, ProtocolParams, _metrics_from_mgfs
-
-
-def _shift_up(size: int, cap: int) -> np.ndarray:
-    """Saturating u+1 operator: increments beyond cap are discarded."""
-    U = np.zeros((size, size))
-    for u in range(size):
-        U[u, u + 1 if u < cap else u] = 1.0
-    return U
-
-
-def _shift_down(size: int) -> np.ndarray:
-    """u-1 operator used when an acknowledgment consumes one DoF."""
-    D = np.zeros((size, size))
-    D[0, 0] = 1.0
-    for u in range(1, size):
-        D[u, u - 1] = 1.0
-    return D
+from .protocols import Accounting, Metrics, ProtocolParams
 
 
 @dataclass(frozen=True)
@@ -108,16 +92,15 @@ def default_coded_kernel(ch: CompositeChannel, p: ProtocolParams) -> CodedKernel
     """Exact kernel for the protocol semantics above."""
     N = p.N
     size = N + 1
+    # the u operators: the projections on u = 0 and u >= 1, u - 1 floored
+    # at 0, and stage n's u + 1 saturating at its cap N - n + 1
     I_u = np.eye(size)
-    K0, K1 = [], []
-    for n in range(1, N + 1):
-        up = _shift_up(size, N - n + 1)
-        K0.append(kron(up, ch.P00) + kron(I_u, ch.P10))
-        K1.append(kron(up, ch.P01) + kron(I_u, ch.P11))
-    u_pos = np.zeros((size, size))
-    u_pos[1:, 1:] = np.eye(size - 1)
-    u_zero = np.zeros((size, size))
-    u_zero[0, 0] = 1.0
+    u_zero = np.outer(I_u[0], I_u[0])
+    down = np.eye(size, k=-1) + u_zero
+    caps = np.arange(N, 0, -1)[:, None, None]  # stage n = 1 .. N
+    ups = np.where(np.arange(size)[:, None] < caps, np.eye(size, k=1), I_u)
+    K0 = tuple(kron(up, ch.P00) + kron(I_u, ch.P10) for up in ups)
+    K1 = tuple(kron(up, ch.P01) + kron(I_u, ch.P11) for up in ups)
     return CodedKernel(
         ch=ch,
         p=p,
@@ -125,11 +108,11 @@ def default_coded_kernel(ch: CompositeChannel, p: ProtocolParams) -> CodedKernel
         plain=kron(I_u, ch.Pc),
         W0=kron(I_u, ch.Px0),
         W1=kron(I_u, ch.Px1),
-        K0=tuple(K0),
-        K1=tuple(K1),
-        proj_up=kron(u_pos, np.eye(4)),
+        K0=K0,
+        K1=K1,
+        proj_up=kron(I_u - u_zero, np.eye(4)),
         proj_zero=kron(u_zero, np.eye(4)),
-        advance=kron(_shift_down(size), np.eye(4)),
+        advance=kron(down, np.eye(4)),
     )
 
 
@@ -237,7 +220,7 @@ def coded_metrics(ch: CompositeChannel, p: ProtocolParams) -> Metrics:
     if p.scheme != "coded":
         raise ParameterError("params do not select the coded scheme")
     kern = default_coded_kernel(ch, p)
-    tau = build_coded_mgf(kern, "tau")
-    delay = build_coded_mgf(kern, "delay")
-    return _metrics_from_mgfs(kern.start_vector(), p.M, tau, delay)
-
+    pi = kern.start_vector()
+    v_tau, frame_tau = scalarize(pi, build_coded_mgf(kern, "tau"))
+    v_d, frame_delay = scalarize(pi, build_coded_mgf(kern, "delay"))
+    return Metrics(frame_tau, frame_delay, p.M, abs(v_tau - 1.0), abs(v_d - 1.0))

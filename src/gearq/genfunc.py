@@ -60,8 +60,6 @@ def dual_term(coeff: np.ndarray, z_power: int, z: float = 1.0) -> DualMatrix:
     if z_power < 0:
         raise ValueError("z_power must be >= 0")
     coeff = np.asarray(coeff, dtype=float)
-    if z == 1.0:
-        return DualMatrix(coeff.copy(), z_power * coeff)
     val = coeff * z**z_power
     der = np.zeros_like(coeff) if z_power == 0 else z_power * coeff * z ** (z_power - 1)
     return DualMatrix(val, der)

@@ -159,8 +159,15 @@ class AttemptModel:
         self._split = (_MASKS[:, None] * np.concatenate((ch.Pc, ch.Pc), axis=1)).reshape(4, 32)
 
     def rates(self, m):
-        """(eps_G, eps_B) of the reverse link at index m, each shaped like m."""
+        """(eps_G, eps_B) of the reverse link at index m, each shaped like m.
+
+        Raises ParameterError at the first index whose rate is not a
+        probability (outside [0, 1], or NaN)."""
         eb = self.eps_B(m) + np.zeros(np.shape(m))
+        ok = (0.0 <= eb) & (eb <= 1.0)
+        if not ok.all():
+            at, rate = np.broadcast_to(m, ok.shape)[~ok][0], float(eb[~ok][0])
+            raise ParameterError(f"recovery erasure rate {rate!r} at index {at:g} is not in [0, 1]")
         return np.minimum(self.ch.rev.eps_G, eb), eb
 
     def steps(self, m) -> np.ndarray:
@@ -282,15 +289,6 @@ def build_arq_mgf(
     feedback = DualMatrix(ch.P00 + ch.P01 @ walk.val, ch.P01 @ walk.der)
     # the first transmission, k - 1 slots to its feedback and the feedback's slot
     return dual_mul(_term(Pk, 1, p.k, z), dual_mul(loop, feedback))
-
-
-def _metrics_from_mgfs(
-    pi_I: np.ndarray, M: int, tau_mgf: DualMatrix, delay_mgf: DualMatrix
-) -> Metrics:
-    """Metrics of a frame of M packets from start vector pi_I and its two MGFs."""
-    v_tau, frame_tau = scalarize(pi_I, tau_mgf)
-    v_d, frame_delay = scalarize(pi_I, delay_mgf)
-    return Metrics(frame_tau, frame_delay, M, abs(v_tau - 1.0), abs(v_d - 1.0))
 
 
 def attempt_model_for(ch: CompositeChannel, p: ProtocolParams) -> AttemptModel:

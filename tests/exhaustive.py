@@ -8,8 +8,9 @@ matrix Q, the absorption vector and the packets sent per slot, and solves
 (I - Q) x = r once (the fundamental matrix; Kemeny & Snell, Finite Markov
 Chains, ch. III).  The absorbed mass, E[tau] and E[slots] it returns are
 exact up to rounding: no time loop, no truncation.  On a link stated in
-fractions.Fraction (exact_link) the solve is exact arithmetic, with no
-rounding at all: a referee that measures the error of the floats.
+fractions.Fraction (exact_link) the uncoded and coded solves are exact
+arithmetic, with no rounding at all: a referee that measures the error
+of the floats (harq's bracket reads its rates as floats).
 
 HARQ's combining index is unbounded, so its state keeps the index only up
 to J.  harq() solves twice, with the rates past J frozen at 0 and at the
@@ -172,11 +173,11 @@ def coded(ch, p):
                 length = M if c_ack == 0 else 1
                 cnt2, obs2, exp2 = length, length - 1, T
             ef, er = eps_f[c2 // 2], eps_r[c2 % 2]
-            fwd_opts = [(1.0, 0, 0)] if cnt2 == 0 else [(1.0 - ef, 1, 1), (ef, 1, 0)]
+            fwd_opts = [(1, 0, 0)] if cnt2 == 0 else [(1 - ef, 1, 1), (ef, 1, 0)]
             for p_f, dtau, drx in fwd_opts:
                 rx = min(c_rx + drx, N)
                 rem = cnt2 - 1 if cnt2 > 0 else 0
-                for p_r, delivered in ((1.0 - er, True), (er, False)):
+                for p_r, delivered in ((1 - er, True), (er, False)):
                     prob = pc * p_f * p_r
                     ack, cnt3, sched3, slen3, obs3, exp3 = c_ack, rem, sched2, slen2, obs2, exp2
                     extra = 0

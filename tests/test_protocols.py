@@ -695,6 +695,24 @@ def test_a_rise_in_a_state_no_step_enters_is_no_rise():
     assert np.array_equal(phi.val, build_arq_mgf(ch, p, AttemptModel(ch, 0.1)).val)
 
 
+@pytest.mark.parametrize(
+    "eps_B,at",
+    [
+        (-0.2, 1),
+        (lambda m: np.where(m < 3, 1.2, 0.3), 1),
+        (float("nan"), 1),
+        (lambda m: np.where(m < 4, 0.3, -0.1), 4),
+    ],
+    ids=["negative", "above-one-early", "nan", "negative-from-4"],
+)
+def test_recovery_rates_that_are_not_probabilities_are_named(eps_B, at):
+    # unchecked, the first two gave a normalized MGF with wrong means (tau
+    # 1.4209 and 1.4300) and NaN a NonConvergenceError on the loop gain
+    ch, p = channel(0.3), ProtocolParams(k=5, T=10)
+    with pytest.raises(ParameterError, match=f"at index {at} is not in \\[0, 1\\]"):
+        build_arq_mgf(ch, p, AttemptModel(ch, eps_B))
+
+
 def recording_steps(att):
     """att with its steps() recording the last slot each call evaluates, and
     how many indices it takes."""
