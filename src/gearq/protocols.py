@@ -146,7 +146,7 @@ class AttemptModel:
 
     eps_B is state B's erasure-rate sequence over the combining index
     m >= 1: a vectorized function of m that never rises and takes
-    m = inf (its limit), or a number, which is the constant sequence.
+    m = inf (its limit), or a number: the constant sequence (self.constant).
     State G's rate at m is min(eps_G, eps_B(m)): combining never makes
     state G worse than its nominal rate, nor worse than state B.
     Observations are linear in the rates (self._split: the composite's Pc
@@ -155,7 +155,8 @@ class AttemptModel:
 
     def __init__(self, ch: CompositeChannel, eps_B):
         self.ch = ch
-        self.eps_B = eps_B if callable(eps_B) else (lambda m: eps_B)
+        self.constant = not callable(eps_B)
+        self.eps_B = (lambda m: eps_B) if self.constant else eps_B
         self._split = (_MASKS[:, None] * np.concatenate((ch.Pc, ch.Pc), axis=1)).reshape(4, 32)
 
     def rates(self, m):
@@ -228,7 +229,7 @@ def _recovery_walk(att: AttemptModel, p: ProtocolParams, z):
     weight z_packets**e * z_slots**j, e the expiries it passed.  Rates
     never rise, so holding them at one slot's for good keeps the surviving
     mass and over-counts its future: that constant recovery is one closure
-    (_close), and at the limit rates eps_B(inf) the whole walk (bound 0).
+    (_close), and for a constant model the whole walk (bound 0).
     Otherwise blocks of whole periods, stepped side by side as plain values
     with one that repeats the next slot (_periods), are weighted afterwards
     and joined to the walk, and the closure at the next slot's rates ends
@@ -237,7 +238,7 @@ def _recovery_walk(att: AttemptModel, p: ProtocolParams, z):
     stops once the larger is at most _CERTIFIED or the closure is exact.
     """
     T, limit, j = p.T, att.eps_B(np.inf), 1
-    n = 0 if att.eps_B(1) == limit else -(-_BLOCK // T)
+    n = 0 if att.constant else -(-_BLOCK // T)
     # a path ending at slot s of a block has passed (s + k - 1) // T expiries
     s = np.arange(1.0, max(n, 1) * T + 1)
     w = np.array(_weights((s + (p.k - 1)) // T, s, z))
@@ -296,11 +297,13 @@ def attempt_model_for(ch: CompositeChannel, p: ProtocolParams) -> AttemptModel:
 
     Uncoded and coded are the constant sequence at the nominal eps_B; harq
     combines with eps_B(m) = min(eps_B, 1 - exp(-(gamma/rho)/m)), never
-    worse than an uncombined reception, and 0 at every m for gamma/rho = 0.
+    worse than an uncombined reception, and the constant 0 for gamma/rho = 0.
     """
     g, eb = p.gamma_over_rho, ch.rev.eps_B
     if p.scheme != "harq":
         return AttemptModel(ch, eb)
+    if g == 0:
+        return AttemptModel(ch, 0.0)
     return AttemptModel(ch, lambda m: np.minimum(eb, 1.0 - np.exp(-g / m)))
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gearq import coded, protocols
-from gearq.channel import symmetric_composite
+from gearq.channel import build_composite, build_half_channel, symmetric_composite
 from gearq.coded import build_coded_mgf, coded_metrics, default_coded_kernel
 from gearq.genfunc import dual_identity, dual_mul, dual_sum_truncated
 from gearq.protocols import ProtocolParams, uncoded_metrics
@@ -157,7 +157,7 @@ def test_kernel_matches_exhaustive_enumeration(link, eps, k, T, M, N):
     # and the Monte Carlo sampling
     ch = symmetric_composite(*link, eps)
     p = ProtocolParams(k=k, T=T, scheme="coded", M=M, N=N)
-    mass, e_tau, e_delay = exhaustive.coded(ch, p)
+    mass, e_tau, e_delay, _ = exhaustive.coded(ch, p)
     m = coded_metrics(ch, p)
     assert mass == pytest.approx(1.0, abs=1e-12)
     assert e_tau == pytest.approx(m.frame_tau_mean, rel=1e-11, abs=0)
@@ -178,35 +178,52 @@ def test_kernel_matches_exhaustive_enumeration_to_1e_12(link, eps, k, T, M, N):
     # closure of the recovery walk meets it, the truncated series does not
     ch = symmetric_composite(*link, eps)
     p = ProtocolParams(k=k, T=T, scheme="coded", M=M, N=N)
-    mass, e_tau, e_delay = exhaustive.coded(ch, p)
+    mass, e_tau, e_delay, _ = exhaustive.coded(ch, p)
     m = coded_metrics(ch, p)
     assert mass == pytest.approx(1.0, abs=1e-12)
     assert e_tau == pytest.approx(m.frame_tau_mean, rel=1e-12, abs=0)
     assert e_delay == pytest.approx(m.delay_mean, rel=1e-12, abs=0)
 
 
-@functools.lru_cache(maxsize=None)
-def exact_coded(shape):
-    """(mass, E[tau], E[delay]) of the coded frame shape (k, T, M, N) on
-    exact_link(1/100, 3/10), in rationals: solved once for every test."""
-    k, T, M, N = shape
-    p = ProtocolParams(k=k, T=T, scheme="coded", M=M, N=N)
-    return exhaustive.coded(exhaustive.exact_link(Fraction(1, 100), Fraction(3, 10)), p)
+# rational links: eps = 3/10 on eps_G = 0, eps_B = 1 at r = 1/100 and 3/10;
+# eps_G = 1/10, eps_B = 9/10; and one with different halves
+EXACT = {
+    "r0.01": ((Fraction(1, 100), 0, 1, Fraction(3, 10)),),
+    "r0.3": ((Fraction(3, 10), 0, 1, Fraction(3, 10)),),
+    "eps_G0.1": ((Fraction(3, 10), Fraction(1, 10), Fraction(9, 10), Fraction(4, 10)),),
+    "asym": (
+        (Fraction(4, 10), Fraction(1, 10), Fraction(9, 10), Fraction(4, 10)),
+        (Fraction(2, 10), 0, 1, Fraction(35, 100)),
+    ),
+}
 
 
 @pytest.mark.parametrize("bound", [1e-11, pytest.param(1e-13, marks=SERIES)], ids=["1e-11", "1e-13"])
-@pytest.mark.parametrize("shape", [(3, 6, 3, 2), (3, 5, 2, 1)], ids=["3-6-3-2", "3-5-2-1"])
-def test_coded_is_accurate_against_exact_arithmetic(shape, bound):
-    # the oracle's solve in rationals on the link stated exactly: the error
-    # of the floating-point frame means themselves (the series' 1e-12 stop
-    # leaves 1.2e-12 to 2.9e-12 relative)
+@pytest.mark.parametrize(
+    "shape,link",
+    [((3, 6, 3, 2), "r0.01"), ((3, 5, 2, 1), "r0.01"), ((5, 10, 5, 4), "r0.01"), ((5, 10, 5, 4), "r0.3"),
+     ((5, 10, 5, 4), "eps_G0.1"), ((5, 10, 5, 4), "asym")],
+    ids=["3-6-3-2", "3-5-2-1", "5-10-5-4-r0.01", "5-10-5-4-r0.3", "5-10-5-4-eps_G0.1", "5-10-5-4-asym"],
+)
+def test_coded_is_accurate_against_exact_arithmetic(shape, link, bound):
+    # the certified solve on the link stated exactly: the error of the
+    # floating-point frame means themselves (the series' 1e-12 stop leaves
+    # 8e-14 to 3e-12 relative)
     k, T, M, N = shape
-    mass, e_tau, e_delay = exact_coded(shape)
     p = ProtocolParams(k=k, T=T, scheme="coded", M=M, N=N)
-    m = coded_metrics(symmetric_composite(0.01, 0.0, 1.0, 0.3), p)
-    assert mass == 1
-    for got, want in ((m.frame_tau_mean, e_tau), (m.delay_mean, e_delay)):
-        assert abs(Fraction(got) - want) <= Fraction(bound) * want, float(Fraction(got) / want - 1)
+    solved = exhaustive.coded(exhaustive.exact_link(*EXACT[link]), p)
+    errors = exhaustive.errors(frame_means(p, link), solved)
+    assert max(errors) <= bound, errors
+
+
+@functools.lru_cache(maxsize=None)
+def frame_means(p, link):
+    """(1, frame tau, delay) of the analysis on the float channel of an EXACT
+    link, shared by both bounds: at r = 0.01 it costs 0.2-0.6 s, the
+    certified solve 0.01-0.1 s."""
+    halves = [build_half_channel(*map(float, h)) for h in EXACT[link]]
+    m = coded_metrics(build_composite(halves[0], halves[-1]), p)
+    return 1.0, m.frame_tau_mean, m.delay_mean
 
 
 def per_slot_walk(kern, period, acc):

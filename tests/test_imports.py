@@ -1,14 +1,24 @@
-"""The library imports only what it declares: the standard library and numpy.
+"""Each part of the repository imports only what it declares.
 
-scipy, for one, may be installed where the tests run without being a
-dependency, so an import of it would pass every other test.
+The library and the demos: the standard library, numpy and gearq.  The
+tests: those, pytest, and their own oracle module `exhaustive`.  scipy and
+hypothesis, for two, may be installed where the tests run without being
+dependencies (CI installs numpy and pytest only), so an import of either
+would pass every other test.
 """
 import ast
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "gearq"
-DECLARED = set(sys.stdlib_module_names) | {"numpy", "gearq"}
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+LIBRARY = set(sys.stdlib_module_names) | {"numpy", "gearq"}
+DECLARED = {
+    "src/gearq": LIBRARY,
+    "demos": LIBRARY,
+    "tests": LIBRARY | {"pytest", "exhaustive"},
+}
 
 
 def top_level_imports(tree):
@@ -19,10 +29,18 @@ def top_level_imports(tree):
             yield node.module.partition(".")[0]
 
 
-def test_runtime_imports_are_declared():
-    files = sorted(SRC.glob("*.py"))
+def undeclared(part):
+    files = sorted((ROOT / part).glob("*.py"))
     assert files
-    undeclared = [
-        (f.name, name) for f in files for name in top_level_imports(ast.parse(f.read_text())) if name not in DECLARED
+    return [
+        (f.name, name) for f in files for name in top_level_imports(ast.parse(f.read_text())) if name not in DECLARED[part]
     ]
-    assert not undeclared
+
+
+def test_runtime_imports_are_declared():
+    assert not undeclared("src/gearq")
+
+
+@pytest.mark.parametrize("part", ["tests", "demos"])
+def test_tests_and_demos_import_only_what_is_declared(part):
+    assert not undeclared(part)

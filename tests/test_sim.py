@@ -532,7 +532,7 @@ def test_round_step_matches_exact_coded_means(link, k, T, M, N):
     # (under 4 at 20,000 frames a seed)
     ch = link_channel(link)
     p = ProtocolParams(k=k, T=T, scheme="coded", M=M, N=N)
-    mass, e_tau, e_delay = exhaustive.coded(ch, p)
+    mass, e_tau, e_delay, _ = exhaustive.coded(ch, p)
     assert mass == pytest.approx(1.0, abs=1e-12)
     stats = [simulate(SimConfig(params=p, ch=ch, seed=s, horizon=200_000)) for s in range(3)]
     tm, ts, dm, ds = pooled_estimate(stats)
