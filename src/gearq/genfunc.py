@@ -10,8 +10,7 @@ derivative.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -33,26 +32,18 @@ _SLACK = 1e-9  # a closure that returns has rho(a) < 1 - _SLACK
 _MASS_TOL = 1e-6  # scalarize's largest accepted |phi(1) - 1|
 
 
-@dataclass(frozen=True)
-class DualMatrix:
+class DualMatrix(NamedTuple):
     """Value and first z-derivative of a matrix-valued function at one point.
 
     For a function of several z's, der carries a leading direction axis:
     der[i] is the derivative in the i-th z.  dual_add, dual_mul and
     dual_geo broadcast over it, each direction bit for bit as its own
-    one-direction computation.
+    one-direction computation.  der.shape[-2:] must equal val.shape;
+    scalarize checks it on the MGF it reads.
     """
 
     val: np.ndarray
     der: np.ndarray
-
-    def __post_init__(self):
-        if self.der.shape[-2:] != self.val.shape:
-            raise ValueError("val and der shapes differ")
-
-    @property
-    def n(self) -> int:
-        return self.val.shape[0]
 
 
 def dual_term(coeff: np.ndarray, z_power: int, z: float = 1.0) -> DualMatrix:
@@ -99,7 +90,7 @@ def dual_geo(a: DualMatrix) -> DualMatrix:
     in protocol terms, fewer than 1/_SLACK expected loop traversals.
     """
     try:
-        inv = np.linalg.inv(np.eye(a.n) - a.val)
+        inv = np.linalg.inv(np.eye(len(a.val)) - a.val)
     except np.linalg.LinAlgError:
         raise NonConvergenceError("I - a is singular: self-loop spectral radius 1") from None
     norm = np.abs(inv).sum(axis=1).max()
@@ -143,8 +134,11 @@ def scalarize(pi_I: np.ndarray, Phi: DualMatrix, *, check: bool = True) -> tuple
     if Phi.der has a direction axis, is the mean at z = 1.  With check=True
     (at z = 1), |phi(1) - 1| beyond _MASS_TOL raises ImproperMGFError: the
     model or a series truncation lost probability mass.  A NaN fails every
-    guard: in pi_I as a ValueError, in phi(1) as an ImproperMGFError.
+    guard: in pi_I as a ValueError, in phi(1) as an ImproperMGFError.  A
+    Phi whose der and val shapes differ is a ValueError.
     """
+    if Phi.der.shape[-2:] != Phi.val.shape:
+        raise ValueError("val and der shapes differ")
     if not (pi_I >= 0).all():
         raise ValueError("pi_I must be non-negative")
     norm = float(pi_I.sum())

@@ -28,8 +28,8 @@ moved by its closed-form j-step law (_to_good).  The lane count is fixed
 (_LANES), and lanes share the episode budget, so a seed and a horizon
 determine every estimate.  Once every episode has started, the engine
 steps only a leading slice of the lane arrays that holds the live lanes,
-halved in place as they finish; each lane keeps its own uniforms, so the
-width changes no estimate.
+halved in place as they finish, and draws uniforms for that slice only;
+the halving schedule is part of what a seed reproduces.
 """
 from __future__ import annotations
 
@@ -43,7 +43,6 @@ from .channel import CompositeChannel, HalfChannel
 from .protocols import ProtocolParams, attempt_model_for
 
 _LANES = 4096  # lanes run side by side; part of what a seed reproduces
-_MIN_WIDTH = 64  # narrowest drain width: below it a step costs its numpy calls, not its lanes
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,10 +190,10 @@ def _run_lanes(cfg: SimConfig, init: dict, step) -> SimStats:
     per lane, and returns where an episode ended.  step must be lane-wise,
     so the rules need no mask of active lanes: once every episode has
     started, whenever the live lanes fit in half the width the engine moves
-    them in order to the front of the lane arrays and steps that half only
-    (down to _MIN_WIDTH), the padding past them stepping unobserved.  Each
-    lane reads its own column of the iteration's (3, B) uniforms, so the
-    width changes no estimate.
+    them in order to the front of the lane arrays and steps the narrowest
+    halving that holds them, the padding past them stepping unobserved.
+    Each iteration draws (3, width) uniforms, one column per position, so
+    the halving schedule is part of what a seed reproduces.
     """
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     start_row = np.cumsum(cfg.ch.pi_I / cfg.ch.pi_I.sum())[None]  # one cumulative row
@@ -208,15 +207,13 @@ def _run_lanes(cfg: SimConfig, init: dict, step) -> SimStats:
 
     begin(np.arange(B))
     active = np.ones(B, dtype=bool)
-    lane = np.arange(B)  # the lane whose uniforms each position reads
     started = n_active = B
     iterations = retired = 0
     acc = _Moments()
     while n_active:
         iterations += 1
         retired += B - n_active
-        u = rng.random((3, B))
-        ends = np.flatnonzero(step(L, u if width == B else u[:, lane]) & active)
+        ends = np.flatnonzero(step(L, rng.random((3, width))) & active)
         if ends.size:
             acc.add(L.tau[ends], L.s[ends])
             n_new = min(ends.size, cfg.horizon - started)
@@ -225,14 +222,14 @@ def _run_lanes(cfg: SimConfig, init: dict, step) -> SimStats:
             if n_new:
                 begin(ends[:n_new])
                 started += n_new
-        if started == cfg.horizon and n_active <= width // 2 >= _MIN_WIDTH:
+        if started == cfg.horizon and 0 < n_active <= width // 2:
             live = np.flatnonzero(active)
-            while n_active <= width // 2 >= _MIN_WIDTH:
+            while n_active <= width // 2:
                 width //= 2
-            for arr in (*vars(L).values(), lane, active):
+            for arr in (*vars(L).values(), active):
                 arr[:n_active] = arr[live]
             L = SimpleNamespace(**{f: arr[:width] for f, arr in vars(L).items()})
-            lane, active = lane[:width], active[:width]
+            active = active[:width]
             active[n_active:] = False
     return acc.stats(iterations, retired)
 

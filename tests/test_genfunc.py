@@ -271,6 +271,17 @@ def test_scalarize_rejects_a_start_vector_without_mass(pi_I, match):
             scalarize(pi_I, phi, check=check)
 
 
+def test_scalarize_rejects_a_der_of_another_shape():
+    # the shape check sits where a caller's Phi is read; a dual is a plain
+    # immutable pair
+    phi = DualMatrix(np.eye(4), np.zeros((2, 4, 3)))
+    for check in (True, False):
+        with pytest.raises(ValueError, match="shapes differ"):
+            scalarize(np.full(4, 0.25), phi, check=check)
+    with pytest.raises(AttributeError):
+        phi.val = np.eye(4)
+
+
 def test_scalarize_flags_a_nan_mgf():
     val = np.eye(4)
     val[0, 0] = np.nan

@@ -5,12 +5,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from gearq import sim
 from gearq.channel import build_composite, build_half_channel, symmetric_composite
 from gearq.coded import coded_metrics
 from gearq.protocols import ProtocolParams, attempt_model_for, harq_metrics, uncoded_metrics
 from gearq.sim import (
     _LANES,
-    _MIN_WIDTH,
     SimConfig,
     SimStats,
     _chain_step,
@@ -209,26 +209,26 @@ def link_channel(link):
 
 PINNED = [
     ("uncoded", LINK, 1_000, SimStats(
-        1.467, 0.027439223749953272, 8.737, 0.19519178005233723, 1000, 8737, 21, 18560, 60)),
+        1.464, 0.026470814116683304, 8.642, 0.1842819470268317, 1000, 8642, 17, 14592, 46)),
     ("uncoded", LINK, 4_500, SimStats(
-        1.465111111111111, 0.012423638250527605, 8.651555555555555, 0.08520871662103013,
-        4500, 38932, 21, 75312, 43)),
+        1.472, 0.012550091239646701, 8.686444444444444, 0.08540522813704846,
+        4500, 39089, 23, 83289, 55)),
     ("harq", LINK, 1_000, SimStats(
-        1.417, 0.026250923793268686, 8.394, 0.18452849102509888, 1000, 8394, 10, 7903, 60)),
+        1.407, 0.02536436476634099, 8.269, 0.17164101782499427, 1000, 8269, 8, 5947, 45)),
     ("harq", LINK, 4_500, SimStats(
-        1.4242222222222223, 0.012076218396271994, 8.375111111111112, 0.08177077640453051,
-        4500, 37688, 12, 39692, 43)),
+        1.4248888888888889, 0.012207288744478998, 8.38111111111111, 0.0828466959769281,
+        4500, 37715, 11, 35597, 52)),
     ("coded", LINK, 1_000, SimStats(
-        6.866, 0.07895596240943431, 16.11, 0.31819789439906737, 1000, 16110, 23, 19624, 79)),
+        6.9, 0.08079603950689657, 16.397, 0.3235110369060074, 1000, 16397, 27, 23475, 73)),
     ("coded", LINK, 4_500, SimStats(
-        6.846666666666667, 0.036742816548289196, 16.057111111111112, 0.14883951460673212,
-        4500, 72257, 27, 95132, 79)),
+        6.842888888888889, 0.03649719924613492, 16.00911111111111, 0.14743044000216454,
+        4500, 72041, 30, 107502, 87)),
     ("harq", (0.3, 0.1, 0.9, 0.4), 4_500, SimStats(
-        1.68, 0.016060379898032794, 10.514444444444445, 0.11671640444776973,
-        4500, 47315, 12, 37860, 68)),
+        1.6775555555555555, 0.015977040797577703, 10.503111111111112, 0.11580079882972394,
+        4500, 47264, 13, 41966, 75)),
     ("coded", ASYM, 4_500, SimStats(
-        7.8886666666666665, 0.044163121870326755, 21.288666666666668, 0.19999160747823488,
-        4500, 95799, 50, 180349, 104)),
+        7.866666666666666, 0.04300444995636362, 21.115333333333332, 0.19043720224788016,
+        4500, 95019, 58, 213377, 92)),
 ]
 
 
@@ -246,8 +246,10 @@ def test_random_stream_is_pinned(scheme, link, horizon, expect):
 
 def full_width_run_lanes(cfg, init, step):
     """The reference engine: every lane steps at the full width until the
-    last episode ends, retired lanes unobserved (the engine before the
-    drain was compacted)."""
+    last episode ends, retired lanes unobserved, and nothing moves.  It
+    draws the compacted engine's (3, width) uniforms on the same halving
+    schedule; each live lane reads the column of its position, which a
+    halving resets to the lane's rank among the live lanes."""
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     start_row = np.cumsum(cfg.ch.pi_I / cfg.ch.pi_I.sum())[None]
     B = min(_LANES, cfg.horizon)
@@ -260,13 +262,15 @@ def full_width_run_lanes(cfg, init, step):
 
     begin(np.arange(B))
     active = np.ones(B, dtype=bool)
-    started = n_active = B
+    pos = np.arange(B)  # the column each lane reads; retired lanes' are clipped
+    started = n_active = width = B
     iterations = retired = 0
     acc = _Moments()
     while n_active:
         iterations += 1
         retired += B - n_active
-        ends = np.flatnonzero(step(L, rng.random((3, B))) & active)
+        u = rng.random((3, width))
+        ends = np.flatnonzero(step(L, u[:, np.minimum(pos, width - 1)]) & active)
         if ends.size:
             acc.add(L.tau[ends], L.s[ends])
             n_new = min(ends.size, cfg.horizon - started)
@@ -275,6 +279,10 @@ def full_width_run_lanes(cfg, init, step):
             if n_new:
                 begin(ends[:n_new])
                 started += n_new
+        if started == cfg.horizon and 0 < n_active <= width // 2:
+            while n_active <= width // 2:
+                width //= 2
+            pos[active] = np.arange(n_active)
     return acc.stats(iterations, retired)
 
 
@@ -297,8 +305,8 @@ ENGINE_CASES = [  # (scheme, link, horizon, ProtocolParams fields besides the sc
     ids=["-".join([s, link, str(h), *(f"{f}{v}" for f, v in kw.items())]) for s, link, h, kw in ENGINE_CASES],
 )
 def test_compacted_drain_matches_full_width_engine(scheme, link, horizon, kw):
-    # each live lane reads its own uniforms whatever the width, so every
-    # SimStats field equals the full-width engine's
+    # the reference moves no lane but hands each live lane the column of
+    # its compacted position, so every SimStats field equals its own
     fields = dict(dict(k=5, T=10, scheme=scheme, **SCHEME_KW[scheme]), **kw)
     if scheme == "coded" and fields["k"] == 1:
         fields.update(M=1, N=1)
@@ -308,24 +316,36 @@ def test_compacted_drain_matches_full_width_engine(scheme, link, horizon, kw):
 
 
 @pytest.mark.parametrize("horizon", [1_000, 20_000])
-def test_drain_steps_halving_widths(horizon):
-    # the widths go B, B/2, B/4, ...; these runs' drains last long enough to
-    # reach the narrowest, the last above _MIN_WIDTH / 2
+def test_drain_steps_halving_widths(horizon, monkeypatch):
+    # the widths go B, B/2, B/4, ... and never rise; every iteration steps
+    # the narrowest of them that holds its live lanes (these runs' drains
+    # end on one or two)
     c = cfg("uncoded", horizon=horizon)
     init, step = _frame_rules(c)
+    B = min(_LANES, horizon)
+    moments = []
+
+    class Recorded(_Moments):
+        def __init__(self):
+            super().__init__()
+            moments.append(self)
+
+    monkeypatch.setattr(sim, "_Moments", Recorded)
     widths = []
 
     def spy(L, u):
-        widths.append(u.shape[1])
-        assert all(v.shape == (u.shape[1],) for v in vars(L).values())
+        width = u.shape[1]
+        live = min(B, horizon - moments[0].n)  # episodes not yet ended
+        assert width // 2 < live <= width
+        assert all(v.shape == (width,) for v in vars(L).values())
+        widths.append(width)
         return step(L, u)
 
     st = _run_lanes(c, init, spy)
-    B = min(_LANES, horizon)
     assert len(widths) == st.iterations
     assert widths == sorted(widths, reverse=True)
-    assert widths[-1] < B and widths[-1] // 2 < _MIN_WIDTH <= widths[-1]
     assert set(widths) <= {B >> i for i in range(13)}
+    assert widths[-1] <= 2
 
 
 @pytest.mark.parametrize("scheme", SCHEME_KW)
